@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_suites
+from .cumulants import cfree_cumulants_from_moments, free_cumulants_from_moments
 from .errors import ArgumentError
 from .measures import (
     CircleMeasure,
@@ -36,15 +37,7 @@ from .partitions import (
     ncl_classify,
 )
 from .series import TruncatedSeries
-from .transforms import (
-    b_series,
-    cr_transform,
-    ct_transform,
-    eta,
-    r_transform,
-    sigma_series,
-    t_transform,
-)
+from .transforms import b_series, ct_transform, eta, sigma_series, t_transform
 
 
 def _print_json(payload):
@@ -133,14 +126,14 @@ def _cmd_ncl(args):
 
 
 _ONE_STATE_TRANSFORMS = {
-    "r": r_transform,
+    "r": free_cumulants_from_moments,
     "t": t_transform,
     "eta": eta,
     "b": b_series,
 }
 
 _TWO_STATE_TRANSFORMS = {
-    "cr": cr_transform,
+    "cr": cfree_cumulants_from_moments,
     "ct": ct_transform,
     "sigma": sigma_series,
 }

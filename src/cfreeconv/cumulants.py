@@ -14,14 +14,13 @@ are triangular in the unknowns, so each direction is a short recurrence on
 truncated series.  The equivalent summation formulas over non-crossing
 partitions -- moments as partition-indexed cumulant products, with the
 phi-side reading exterior blocks in the phi family and interior blocks in
-the psi family -- are kept alongside as oracles; production code uses the
-recurrences, the test-suite insists the two routes agree.
+the psi family -- live in :mod:`oracles`; the test-suite insists the two
+routes agree.
 """
 from __future__ import annotations
 
-from .errors import ArgumentError, DomainError
-from .partitions import enumerate_nc, enumerate_nc_0
-from .series import TruncatedSeries, _one, _zero, boxed_convolution_checked
+from .errors import ArgumentError
+from .series import TruncatedSeries, _one, _zero
 
 
 def _moment_series(x):
@@ -110,37 +109,6 @@ def phi_moments_from_cfree_cumulants(cr, psi):
     return TruncatedSeries(M, m.mode)
 
 
-# -- partition-sum oracles ---------------------------------------------------
-
-def moments_from_free_cumulants_nc_sum(r):
-    """Moment n as the sum over NC(n) of blockwise cumulant products."""
-    from .series import cf_weight
-
-    out = [_zero(r.mode)]
-    for n in range(1, r.order + 1):
-        acc = _zero(r.mode)
-        for p in enumerate_nc(n):
-            acc = acc + cf_weight(p, r)
-        out.append(acc)
-    return TruncatedSeries(out, r.mode)
-
-
-def phi_moments_nc_sum(cr, r):
-    """Phi-moment n summed over NC(n): cr on exterior blocks, r on interior."""
-    out = [_zero(r.mode)]
-    for n in range(1, r.order + 1):
-        acc = _zero(r.mode)
-        for p in enumerate_nc(n):
-            term = _one(r.mode)
-            for b in p.exterior_blocks():
-                term = term * cr.coefficient(len(b))
-            for b in p.interior_blocks():
-                term = term * r.coefficient(len(b))
-            acc = acc + term
-        out.append(acc)
-    return TruncatedSeries(out, r.mode)
-
-
 # -- bundled laws -------------------------------------------------------------
 
 class OneStateData:
@@ -220,163 +188,3 @@ class TwoStateData:
     def __repr__(self):
         return f"TwoStateData(order={self.order}, mode={self.mode!r})"
 
-
-# -- partition-indexed cumulant products --------------------------------------
-
-def kappa(p, letters):
-    """Blockwise free-cumulant product; zero unless each block is one letter.
-
-    ``letters`` assigns a OneStateData to each ground-set element; lookup is
-    by object identity, so distinct objects are distinct letters even if
-    their series coincide.
-    """
-    if len(letters) != p.n:
-        raise ArgumentError("need one letter per element")
-    out = None
-    for b in p.blocks:
-        owner = letters[b[0] - 1]
-        if any(letters[e - 1] is not owner for e in b):
-            return _zero(owner.mode)
-        w = owner.cumulant(len(b))
-        out = w if out is None else out * w
-    return out
-
-
-def Kappa(p, letters):
-    """Like :func:`kappa` with phi-side cumulants on exterior blocks.
-
-    ``letters`` holds TwoStateData; interior blocks read the psi cumulants.
-    """
-    if len(letters) != p.n:
-        raise ArgumentError("need one letter per element")
-    ext = set(p.ext_blocks)
-    out = None
-    for idx, b in enumerate(p.blocks):
-        owner = letters[b[0] - 1]
-        if any(letters[e - 1] is not owner for e in b):
-            return _zero(owner.mode)
-        if idx in ext:
-            w = owner.cfree_cumulant(len(b))
-        else:
-            w = owner.psi.cumulant(len(b))
-        out = w if out is None else out * w
-    return out
-
-
-def product_psi_cumulants(r_x, r_y, n):
-    """Cumulant n of a product of psi-free factors, via the coupled family.
-
-    Sums blockwise cumulant products over the parity-constant partitions of
-    {1..2n} whose even side complements the odd side; odd blocks read
-    ``r_x``, even blocks ``r_y``.
-    """
-    acc = _zero(r_x.mode)
-    for sigma in enumerate_nc_0(2 * n):
-        term = _one(r_x.mode)
-        for b in sigma.blocks:
-            fam = r_x if b[0] % 2 == 1 else r_y
-            term = term * fam.coefficient(len(b))
-        acc = acc + term
-    return acc
-
-
-def product_phi_cumulants(x, y, n):
-    """Phi-side cumulant n of the product of two-state laws x and y.
-
-    Same coupled-family sum as :func:`product_psi_cumulants`, with the two
-    exterior blocks (containing 1 and 2n) read in the phi families.
-    """
-    acc = _zero(x.mode)
-    for sigma in enumerate_nc_0(2 * n):
-        ext = set(sigma.ext_blocks)
-        term = _one(x.mode)
-        for idx, b in enumerate(sigma.blocks):
-            owner = x if b[0] % 2 == 1 else y
-            if idx in ext:
-                term = term * owner.cfree_cumulant(len(b))
-            else:
-                term = term * owner.psi.cumulant(len(b))
-        acc = acc + term
-    return acc
-
-
-def cfree_product_cumulant_series(x, y, order=None):
-    """The shifted phi-cumulant series of a product, in closed form.
-
-    Returns the series whose coefficient at z^{n-1} is the n-th phi-side
-    cumulant of the product: writing A for the checked boxed convolution of
-    the psi-cumulant series of x against y (scaled by the inverse first
-    cumulant of x) and B for the mirror image, the result is
-
-        [(cR_x / z) o A] * [(cR_y / z) o B].
-
-    Needs both first psi-cumulants invertible.
-    """
-    r_x, r_y = x.psi.free_cumulants, y.psi.free_cumulants
-    if not r_x.coeffs[1] or not r_y.coeffs[1]:
-        raise DomainError("product formula needs nonzero first psi-cumulants")
-    if order is None:
-        order = x.order - 1
-    if order > x.order - 1:
-        raise ArgumentError("order exceeds what the input data determines")
-    inner_x = boxed_convolution_checked(r_x, r_y).scale(
-        _one(x.mode) / r_x.coeffs[1]
-    )
-    inner_y = boxed_convolution_checked(r_y, r_x).scale(
-        _one(x.mode) / r_y.coeffs[1]
-    )
-    lhs = x.cfree_cumulants.shift_down().compose(inner_x.truncate(x.order - 1))
-    rhs = y.cfree_cumulants.shift_down().compose(inner_y.truncate(y.order - 1))
-    return (lhs * rhs).truncate(order)
-
-
-# -- multi-letter cumulants via the splitting recurrence ----------------------
-
-def word_cumulant(moment_oracle, word, state="psi"):
-    """Cumulant of a word of letters, from the defining splitting recurrence.
-
-    ``moment_oracle(word, state)`` must return the moment of a word under
-    the named state ("psi" or "phi") with the empty word mapping to 1.  The
-    recurrence peels off the subsets of positions containing the first
-    letter: the moment of a word is the sum, over position subsets
-    1 = i_1 < ... < i_p, of the cumulant of the picked subword times the
-    psi-moments of the gaps between picked positions times the moment of
-    the tail after i_p under the computing state.  Solving for the full
-    subset gives the cumulant.
-    """
-    if state not in ("psi", "phi"):
-        raise ArgumentError("state must be 'psi' or 'phi'")
-    word = tuple(word)
-    if not word:
-        raise ArgumentError("words must be nonempty")
-    cache = {}
-
-    def cum(w, st):
-        key = (w, st)
-        if key not in cache:
-            total = moment_oracle(w, st)
-            n = len(w)
-            for picked in _proper_position_subsets(n):
-                sub = tuple(w[i - 1] for i in picked)
-                term = cum(sub, st)
-                for a, b in zip(picked, picked[1:]):
-                    gap = w[a : b - 1]
-                    if gap:
-                        term = term * moment_oracle(gap, "psi")
-                tail = w[picked[-1] :]
-                if tail:
-                    term = term * moment_oracle(tail, st)
-                total = total - term
-            cache[key] = total
-        return cache[key]
-
-    return cum(word, state)
-
-
-def _proper_position_subsets(n):
-    """Nonempty proper subsets of 1..n containing 1, as ascending tuples."""
-    from itertools import combinations
-
-    for r in range(0, n - 1):
-        for rest in combinations(range(2, n + 1), r):
-            yield (1,) + rest

@@ -19,3 +19,7 @@ class UnsupportedDomainError(DomainError):
 
 class ResourceLimitError(CfreeError):
     """An enumeration guard was exceeded."""
+
+
+class NumericalError(CfreeError):
+    """Two independent routes to the same quantity disagree beyond tolerance."""

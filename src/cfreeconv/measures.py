@@ -562,17 +562,10 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
             rows.append(
                 {"n": n, "j": j, "gap": abs(pair_sigma.coeffs[j] - boolean_b.coeffs[j])}
             )
-        rotation, centered, _ = _center_one(factor, order)
-        arg_b = math.tau * float(rotation)
-        imag_part = 0.0
-        spread = [0j, 0j, 0j]
-        for turn, w in centered.atoms:
-            zeta = cmath.exp(1j * math.tau * float(turn))
-            imag_part += float(w) * zeta.imag
-            for j in range(3):
-                spread[j] += n * float(w) * (1 - zeta.real) * zeta ** j
-        gamma_n[n] = cmath.exp(1j * n * (arg_b + imag_part))
-        sigma_n_moments[n] = spread
+        rotation, _, h = _center_one(factor, max(order, 2))
+        h0, h1, h2 = h.coeffs[:3]
+        gamma_n[n] = cmath.exp(1j * n * (math.tau * float(rotation) - h0.imag))
+        sigma_n_moments[n] = [complex(n * h0.real), n * h1 / 2, n * h2 / 2]
         last_boolean = boolean_b
     log_b = series_log(last_boolean)
     fit = {

@@ -1,16 +1,32 @@
-"""Independent brute-force references for the combinatorial machinery.
+"""The oracle layer: partition sums and brute-force references.
 
-Everything here is deliberately written from the raw definitions -- filter
-all set partitions on the crossing quadruple, maximize over candidates for
-the complement, search block families directly -- so the fast constructions
-in :mod:`partitions` and the partition-sum formulas elsewhere have something
-honest to be checked against.  Sizes are small; clarity beats speed.
+Two kinds of independent route live here, and nothing on the production
+path imports them.  The brute-force references are written from the raw
+definitions -- filter all set partitions on the crossing quadruple,
+maximize over candidates for the complement, search block families
+directly -- so the fast constructions in :mod:`partitions` have something
+honest to be checked against.  The partition sums restate the package's
+identities as sums over non-crossing, parity-constant and linked
+partitions: moments from cumulants, the boxed convolution, the cumulants
+of a product, and moments from the t- and ct-series.  The test-suite and
+``cfreeconv verify`` insist they agree with the recurrences in
+:mod:`cumulants` and :mod:`transforms`.  Sizes are small; clarity beats
+speed.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .partitions import NCPartition, SetPartition
+from .errors import ArgumentError, DomainError
+from .partitions import (
+    NCPartition,
+    enumerate_nc,
+    enumerate_nc_0,
+    enumerate_ncl,
+    kreweras,
+    ncl_classify,
+)
+from .series import TruncatedSeries, _one, _zero
 
 
 def catalan_numbers(count):
@@ -175,3 +191,286 @@ def ncl_block_families(n):
 
     extend([], {e: 0 for e in range(1, n + 1)}, 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Partition-indexed coefficient products and boxed convolution
+# ---------------------------------------------------------------------------
+
+def cf_weight(p, f, index_shift=0):
+    """Product over the blocks of ``p`` of the coefficient at |block|+shift.
+
+    ``index_shift`` 0 reads one-indexed coefficient families (cumulant
+    series with c_0 = 0); -1 reads zero-indexed ones (the t-coefficient
+    convention).
+    """
+    if index_shift not in (0, -1):
+        raise ArgumentError("index_shift must be 0 or -1")
+    blocks = getattr(p, "blocks", p)
+    out = _one(f.mode)
+    for b in blocks:
+        out = out * f.coefficient(len(b) + index_shift)
+    return out
+
+
+def _boxed_sum(f, g, first_singleton):
+    f._check_binary(g)
+    if f.coeffs[0] or g.coeffs[0]:
+        raise DomainError("boxed convolution needs vanishing constant terms")
+    out = [_zero(f.mode)]
+    for n in range(1, f.order + 1):
+        acc = _zero(f.mode)
+        for p in enumerate_nc(n):
+            if first_singleton and (1,) not in p.blocks:
+                continue
+            acc = acc + cf_weight(p, f) * cf_weight(kreweras(p), g)
+        out.append(acc)
+    return TruncatedSeries(out, f.mode)
+
+
+def boxed_convolution(f, g):
+    """Blockwise product against complementary blocks, summed over NC(n).
+
+    Coefficient n of the result adds, over every non-crossing partition of
+    {1..n}, the block-coefficient product of ``f`` times the same product of
+    ``g`` over the Kreweras complement.  The series z is the unit.
+    """
+    return _boxed_sum(f, g, first_singleton=False)
+
+
+def boxed_convolution_checked(f, g):
+    """Boxed convolution restricted to partitions where {1} is a singleton block."""
+    return _boxed_sum(f, g, first_singleton=True)
+
+
+# ---------------------------------------------------------------------------
+# Moments as sums over non-crossing partitions
+# ---------------------------------------------------------------------------
+
+def phi_moments_nc_sum(cr, r):
+    """Phi-moment n summed over NC(n): cr on exterior blocks, r on interior."""
+    out = [_zero(r.mode)]
+    for n in range(1, r.order + 1):
+        acc = _zero(r.mode)
+        for p in enumerate_nc(n):
+            term = _one(r.mode)
+            for b in p.exterior_blocks():
+                term = term * cr.coefficient(len(b))
+            for b in p.interior_blocks():
+                term = term * r.coefficient(len(b))
+            acc = acc + term
+        out.append(acc)
+    return TruncatedSeries(out, r.mode)
+
+
+def moments_from_free_cumulants_nc_sum(r):
+    """Moment n as the sum over NC(n) of blockwise cumulant products."""
+    return phi_moments_nc_sum(r, r)
+
+
+# ---------------------------------------------------------------------------
+# Moments as sums over linked non-crossing block families
+# ---------------------------------------------------------------------------
+
+def phi_moments_via_linked_blocks(ct, t, n_max=None):
+    """Phi-moment n over linked families: ct on exterior blocks, t inside.
+
+    Each family gamma of {1..n} contributes t_0^(n - #blocks) times the
+    product over blocks B of the coefficient at |B|-1; the prefactor stays
+    in the psi family.  Independent of the fixed-point recurrences in
+    :func:`transforms.phi_moments_from_ct`, and much slower.
+    """
+    if ct.order != t.order or ct.mode != t.mode:
+        raise ArgumentError("ct and t must share order and mode")
+    if n_max is None:
+        n_max = t.order + 1
+    if n_max > t.order + 1:
+        raise ArgumentError("n_max exceeds what the coefficients determine")
+    out = [_zero(t.mode)]
+    for n in range(1, n_max + 1):
+        acc = _zero(t.mode)
+        for g in enumerate_ncl(n):
+            ext, intr, _, _ = ncl_classify(g)
+            term = t.coeffs[0] ** (n - len(g.blocks))
+            for b in ext:
+                term = term * ct.coefficient(len(b) - 1)
+            for b in intr:
+                term = term * t.coefficient(len(b) - 1)
+            acc = acc + term
+        out.append(acc)
+    return TruncatedSeries(out, t.mode)
+
+
+def psi_moments_via_linked_blocks(t, n_max=None):
+    """Psi-moment n over linked families, every block read in t.
+
+    The cross-check for :func:`transforms.moments_from_t`.
+    """
+    return phi_moments_via_linked_blocks(t, t, n_max)
+
+
+# ---------------------------------------------------------------------------
+# Partition-indexed cumulant products and cumulants of a product
+# ---------------------------------------------------------------------------
+
+def kappa(p, letters):
+    """Blockwise free-cumulant product; zero unless each block is one letter.
+
+    ``letters`` assigns a OneStateData to each ground-set element; lookup is
+    by object identity, so distinct objects are distinct letters even if
+    their series coincide.
+    """
+    if len(letters) != p.n:
+        raise ArgumentError("need one letter per element")
+    out = None
+    for b in p.blocks:
+        owner = letters[b[0] - 1]
+        if any(letters[e - 1] is not owner for e in b):
+            return _zero(owner.mode)
+        w = owner.cumulant(len(b))
+        out = w if out is None else out * w
+    return out
+
+
+def Kappa(p, letters):
+    """Like :func:`kappa` with phi-side cumulants on exterior blocks.
+
+    ``letters`` holds TwoStateData; interior blocks read the psi cumulants.
+    """
+    if len(letters) != p.n:
+        raise ArgumentError("need one letter per element")
+    ext = set(p.ext_blocks)
+    out = None
+    for idx, b in enumerate(p.blocks):
+        owner = letters[b[0] - 1]
+        if any(letters[e - 1] is not owner for e in b):
+            return _zero(owner.mode)
+        if idx in ext:
+            w = owner.cfree_cumulant(len(b))
+        else:
+            w = owner.psi.cumulant(len(b))
+        out = w if out is None else out * w
+    return out
+
+
+def _coupled_family_sum(odd_ext, odd_int, even_ext, even_int, n):
+    """Blockwise products summed over the coupled family NC_0(2n).
+
+    A block starting at an odd element reads the odd families, one starting
+    at an even element the even ones; exterior blocks read ``*_ext`` and
+    interior blocks ``*_int``.
+    """
+    families = ((even_int, even_ext), (odd_int, odd_ext))
+    acc = _zero(odd_ext.mode)
+    for sigma in enumerate_nc_0(2 * n):
+        ext = set(sigma.ext_blocks)
+        term = _one(odd_ext.mode)
+        for idx, b in enumerate(sigma.blocks):
+            fam = families[b[0] % 2][idx in ext]
+            term = term * fam.coefficient(len(b))
+        acc = acc + term
+    return acc
+
+
+def product_psi_cumulants(r_x, r_y, n):
+    """Cumulant n of a product of psi-free factors, via the coupled family.
+
+    Sums blockwise cumulant products over the parity-constant partitions of
+    {1..2n} whose even side complements the odd side; odd blocks read
+    ``r_x``, even blocks ``r_y``.
+    """
+    return _coupled_family_sum(r_x, r_x, r_y, r_y, n)
+
+
+def product_phi_cumulants(x, y, n):
+    """Phi-side cumulant n of the product of two-state laws x and y.
+
+    Same coupled-family sum as :func:`product_psi_cumulants`, with the two
+    exterior blocks (containing 1 and 2n) read in the phi families.
+    """
+    return _coupled_family_sum(
+        x.cfree_cumulants, x.psi.free_cumulants,
+        y.cfree_cumulants, y.psi.free_cumulants, n,
+    )
+
+
+def cfree_product_cumulant_series(x, y, order=None):
+    """The shifted phi-cumulant series of a product, in closed form.
+
+    Returns the series whose coefficient at z^{n-1} is the n-th phi-side
+    cumulant of the product: writing A for the checked boxed convolution of
+    the psi-cumulant series of x against y (scaled by the inverse first
+    cumulant of x) and B for the mirror image, the result is
+
+        [(cR_x / z) o A] * [(cR_y / z) o B].
+
+    Needs both first psi-cumulants invertible.
+    """
+    r_x, r_y = x.psi.free_cumulants, y.psi.free_cumulants
+    if not r_x.coeffs[1] or not r_y.coeffs[1]:
+        raise DomainError("product formula needs nonzero first psi-cumulants")
+    if order is None:
+        order = x.order - 1
+    if order > x.order - 1:
+        raise ArgumentError("order exceeds what the input data determines")
+    inner_x = boxed_convolution_checked(r_x, r_y).scale(
+        _one(x.mode) / r_x.coeffs[1]
+    )
+    inner_y = boxed_convolution_checked(r_y, r_x).scale(
+        _one(x.mode) / r_y.coeffs[1]
+    )
+    lhs = x.cfree_cumulants.shift_down().compose(inner_x.truncate(x.order - 1))
+    rhs = y.cfree_cumulants.shift_down().compose(inner_y.truncate(y.order - 1))
+    return (lhs * rhs).truncate(order)
+
+
+# ---------------------------------------------------------------------------
+# Multi-letter cumulants via the splitting recurrence
+# ---------------------------------------------------------------------------
+
+def word_cumulant(moment_oracle, word, state="psi"):
+    """Cumulant of a word of letters, from the defining splitting recurrence.
+
+    ``moment_oracle(word, state)`` must return the moment of a word under
+    the named state ("psi" or "phi") with the empty word mapping to 1.  The
+    recurrence peels off the subsets of positions containing the first
+    letter: the moment of a word is the sum, over position subsets
+    1 = i_1 < ... < i_p, of the cumulant of the picked subword times the
+    psi-moments of the gaps between picked positions times the moment of
+    the tail after i_p under the computing state.  Solving for the full
+    subset gives the cumulant.
+    """
+    if state not in ("psi", "phi"):
+        raise ArgumentError("state must be 'psi' or 'phi'")
+    word = tuple(word)
+    if not word:
+        raise ArgumentError("words must be nonempty")
+    cache = {}
+
+    def cum(w, st):
+        key = (w, st)
+        if key not in cache:
+            total = moment_oracle(w, st)
+            n = len(w)
+            for picked in _proper_position_subsets(n):
+                sub = tuple(w[i - 1] for i in picked)
+                term = cum(sub, st)
+                for a, b in zip(picked, picked[1:]):
+                    gap = w[a : b - 1]
+                    if gap:
+                        term = term * moment_oracle(gap, "psi")
+                tail = w[picked[-1] :]
+                if tail:
+                    term = term * moment_oracle(tail, st)
+                total = total - term
+            cache[key] = total
+        return cache[key]
+
+    return cum(word, state)
+
+
+def _proper_position_subsets(n):
+    """Nonempty proper subsets of 1..n containing 1, as ascending tuples."""
+    for r in range(0, n - 1):
+        for rest in combinations(range(2, n + 1), r):
+            yield (1,) + rest

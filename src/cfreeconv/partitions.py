@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, NumericalError, ResourceLimitError
 
 # Enumeration guards.  Exhaustive suites are expected to run in seconds at
 # sizes well below these; the guards only keep runaway requests bounded.
@@ -138,14 +138,6 @@ class NCPartition(SetPartition):
 
     def interior_blocks(self):
         return tuple(self.blocks[i] for i in self.int_blocks)
-
-
-def has_single_exterior_block(p):
-    return len(p.ext_blocks) == 1
-
-
-def has_two_exterior_blocks(p):
-    return len(p.ext_blocks) == 2
 
 
 def singletons(n):
@@ -407,7 +399,7 @@ def _nc_0_cached(two_n):
         by_complement = even_part(sigma) == kreweras(odd_part(sigma))
         by_join = nc_join(sigma, zero_hat) == top
         if by_complement != by_join:
-            raise AssertionError(
+            raise NumericalError(
                 f"complement and join criteria disagree on {sigma!r}; this is a bug"
             )
         if by_complement:

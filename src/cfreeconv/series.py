@@ -348,60 +348,3 @@ class TruncatedSeries:
             raise ArgumentError(f"unknown mode {mode!r}")
         return cls(coeffs, mode, data["order"])
 
-
-# ---------------------------------------------------------------------------
-# Partition-indexed coefficient products and boxed convolution
-# ---------------------------------------------------------------------------
-
-def cf_weight(p, f, index_shift=0):
-    """Product over the blocks of ``p`` of the coefficient at |block|+shift.
-
-    ``index_shift`` 0 reads one-indexed coefficient families (cumulant
-    series with c_0 = 0); -1 reads zero-indexed ones (the t-coefficient
-    convention).
-    """
-    if index_shift not in (0, -1):
-        raise ArgumentError("index_shift must be 0 or -1")
-    blocks = getattr(p, "blocks", p)
-    out = _one(f.mode)
-    for b in blocks:
-        out = out * f.coefficient(len(b) + index_shift)
-    return out
-
-
-def boxed_convolution(f, g):
-    """Blockwise product against complementary blocks, summed over NC(n).
-
-    Coefficient n of the result adds, over every non-crossing partition of
-    {1..n}, the block-coefficient product of ``f`` times the same product of
-    ``g`` over the Kreweras complement.  The series z is the unit.
-    """
-    from .partitions import enumerate_nc, kreweras
-
-    f._check_binary(g)
-    if f.coeffs[0] or g.coeffs[0]:
-        raise DomainError("boxed convolution needs vanishing constant terms")
-    out = [_zero(f.mode)]
-    for n in range(1, f.order + 1):
-        acc = _zero(f.mode)
-        for p in enumerate_nc(n):
-            acc = acc + cf_weight(p, f) * cf_weight(kreweras(p), g)
-        out.append(acc)
-    return TruncatedSeries(out, f.mode)
-
-
-def boxed_convolution_checked(f, g):
-    """Boxed convolution restricted to partitions where {1} is a singleton block."""
-    from .partitions import enumerate_nc, kreweras
-
-    f._check_binary(g)
-    if f.coeffs[0] or g.coeffs[0]:
-        raise DomainError("boxed convolution needs vanishing constant terms")
-    out = [_zero(f.mode)]
-    for n in range(1, f.order + 1):
-        acc = _zero(f.mode)
-        for p in enumerate_nc(n):
-            if (1,) in p.blocks:
-                acc = acc + cf_weight(p, f) * cf_weight(kreweras(p), g)
-        out.append(acc)
-    return TruncatedSeries(out, f.mode)

@@ -15,14 +15,14 @@ route.  Moments are recovered through the fixed-point recurrences
     m(z) / z = t(m(z)) (1 + m(z)),
     M(z) / z = ct(m(z)) (1 + M(z)),
 
-and, independently, as sums over linked non-crossing block families, which
-serve as the brute-force oracle for the recurrences.
+and, independently, as sums over linked non-crossing block families in
+:mod:`oracles`, which serve as the brute-force check on the recurrences.
 
 The remaining transforms are the boolean-style ones: eta = m/(1+m), its
 shifted form b = eta/z, and the pair transform sigma = ct o (z/(1-z)),
 which equals b-of-the-phi-part composed with the inverse of eta-of-the-
-psi-part.  sigma is computed along both routes and the agreement is
-asserted before returning.
+psi-part.  sigma is computed along both routes, and a disagreement raises
+:class:`NumericalError` instead of returning.
 """
 from __future__ import annotations
 
@@ -34,9 +34,8 @@ from .cumulants import (
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
 )
-from .errors import ArgumentError, DomainError
-from .partitions import enumerate_ncl, ncl_classify
-from .series import TruncatedSeries, _one, _zero, cf_weight
+from .errors import ArgumentError, DomainError, NumericalError
+from .series import TruncatedSeries, _one, _zero
 
 
 def _vanishing_invertible(m, what):
@@ -44,18 +43,6 @@ def _vanishing_invertible(m, what):
         raise ArgumentError(f"{what} must have a vanishing constant term")
     if m.order < 1 or not m.coeffs[1]:
         raise DomainError(f"{what} must have an invertible first coefficient")
-
-
-def r_transform(m):
-    """Psi-cumulant series of a law given by its psi-moments."""
-    if m.coeffs[0]:
-        raise ArgumentError("a psi-moment series must have a vanishing constant term")
-    return free_cumulants_from_moments(m)
-
-
-def cr_transform(M, m):
-    """Phi-side cumulant series of a two-state law given by its moment pair."""
-    return cfree_cumulants_from_moments(M, m)
 
 
 def t_transform(m):
@@ -132,90 +119,28 @@ def _geometric(order, mode):
     return TruncatedSeries([_zero(mode)] + [_one(mode)] * order, mode)
 
 
-def _series_gap(a, b):
-    return max(
-        abs(x - y) for x, y in zip(a.to_approx().coeffs, b.to_approx().coeffs)
-    )
-
-
 def sigma_series(M, m):
     """Pair transform of (phi-moments, psi-moments); order drops by 1.
 
     Computed as ct o (z/(1-z)) and, independently, as b(M) composed with
     the compositional inverse of eta(m).  The two must agree -- exactly in
-    exact mode, to 1e-8 in approx mode -- and the second route is returned.
+    exact mode; in approx mode to 1e-8 times the largest coefficient
+    modulus of either route (at least 1) -- and the second route is
+    returned.
     """
     via_ct = ct_transform(M, m).compose(_geometric(M.order - 1, M.mode))
     via_b = b_series(M).compose(eta(m).invert_composition())
     if M.mode == "exact":
         if via_ct != via_b:
-            raise AssertionError("sigma routes disagree in exact arithmetic")
-    elif _series_gap(via_ct, via_b) > 1e-8:
-        raise AssertionError("sigma routes disagree beyond 1e-8")
+            raise NumericalError("sigma routes disagree in exact arithmetic")
+        return via_b
+    gap = max(abs(x - y) for x, y in zip(via_ct.coeffs, via_b.coeffs))
+    scale = max(1.0, *(abs(c) for c in via_ct.coeffs + via_b.coeffs))
+    if gap > 1e-8 * scale:
+        raise NumericalError(
+            f"sigma routes disagree: gap {gap:.3e} against coefficients up to {scale:.3e}"
+        )
     return via_b
-
-
-# -- linked-block moment sums (oracle route) -----------------------------------
-
-def moments_via_ncl(t, ct=None, n=1):
-    """Single moment as a direct sum over linked non-crossing families.
-
-    With only ``t`` supplied this is the psi-moment n; supplying ``ct`` as
-    well switches to the phi-moment, reading exterior blocks from ct.
-    Brute force by construction -- the cross-check for the fixed-point
-    recurrences.
-    """
-    if ct is None:
-        return psi_moments_via_linked_blocks(t, n_max=n).coeffs[n]
-    return phi_moments_via_linked_blocks(ct, t, n_max=n).coeffs[n]
-
-
-def psi_moments_via_linked_blocks(t, n_max=None):
-    """Moment n as a sum over linked non-crossing block families.
-
-    Each family gamma of {1..n} contributes t_0^(n - #blocks) times the
-    product over blocks B of t_(|B|-1).  Independent of the fixed-point
-    recurrence in :func:`moments_from_t`, and much slower; kept as the
-    cross-check.
-    """
-    if n_max is None:
-        n_max = t.order + 1
-    if n_max > t.order + 1:
-        raise ArgumentError("n_max exceeds what the t coefficients determine")
-    out = [_zero(t.mode)]
-    for n in range(1, n_max + 1):
-        acc = _zero(t.mode)
-        for g in enumerate_ncl(n):
-            prefactor = t.coeffs[0] ** (n - len(g.blocks))
-            acc = acc + prefactor * cf_weight(g, t, index_shift=-1)
-        out.append(acc)
-    return TruncatedSeries(out, t.mode)
-
-
-def phi_moments_via_linked_blocks(ct, t, n_max=None):
-    """Phi-moment n over linked families: ct on exterior blocks, t inside.
-
-    The prefactor t_0^(n - #blocks) stays in the psi family.
-    """
-    if ct.order != t.order or ct.mode != t.mode:
-        raise ArgumentError("ct and t must share order and mode")
-    if n_max is None:
-        n_max = t.order + 1
-    if n_max > t.order + 1:
-        raise ArgumentError("n_max exceeds what the coefficients determine")
-    out = [_zero(t.mode)]
-    for n in range(1, n_max + 1):
-        acc = _zero(t.mode)
-        for g in enumerate_ncl(n):
-            ext, intr, _, _ = ncl_classify(g)
-            term = t.coeffs[0] ** (n - len(g.blocks))
-            for b in ext:
-                term = term * ct.coefficient(len(b) - 1)
-            for b in intr:
-                term = term * t.coefficient(len(b) - 1)
-            acc = acc + term
-        out.append(acc)
-    return TruncatedSeries(out, t.mode)
 
 
 # -- bundled view --------------------------------------------------------------

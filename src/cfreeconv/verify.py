@@ -17,11 +17,7 @@ from .cumulants import (
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
-    moments_from_free_cumulants_nc_sum,
     phi_moments_from_cfree_cumulants,
-    phi_moments_nc_sum,
-    product_phi_cumulants,
-    product_psi_cumulants,
 )
 from .errors import ArgumentError
 from .measures import (
@@ -39,7 +35,18 @@ from .measures import (
     semigroup_pair,
     toeplitz_psd_check,
 )
-from .oracles import catalan_numbers, kreweras_by_maximality, ncl_block_families
+from .oracles import (
+    boxed_convolution,
+    catalan_numbers,
+    kreweras_by_maximality,
+    moments_from_free_cumulants_nc_sum,
+    ncl_block_families,
+    phi_moments_nc_sum,
+    phi_moments_via_linked_blocks,
+    product_phi_cumulants,
+    product_psi_cumulants,
+    psi_moments_via_linked_blocks,
+)
 from .partitions import (
     enumerate_nc,
     enumerate_nc_0,
@@ -47,15 +54,13 @@ from .partitions import (
     enumerate_ncl,
     kreweras,
 )
-from .series import ComplexRational, TruncatedSeries, boxed_convolution
+from .series import ComplexRational, TruncatedSeries
 from .transforms import (
     TransformBundle,
     b_series,
     ct_transform,
     moments_from_t,
     phi_moments_from_ct,
-    phi_moments_via_linked_blocks,
-    psi_moments_via_linked_blocks,
     sigma_series,
     t_transform,
 )
@@ -80,7 +85,8 @@ def _run_checks(checks):
     return rows
 
 
-def _random_scalar(rng, nonzero=False):
+def random_scalar(rng, nonzero=False):
+    """A seeded exact scalar; real and imaginary parts are a/b, a in -5..5, b in 1..4."""
     while True:
         s = ComplexRational(
             Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -90,10 +96,11 @@ def _random_scalar(rng, nonzero=False):
             return s
 
 
-def _random_vanishing(rng, order, c1_nonzero=False):
-    coeffs = [ComplexRational()] + [_random_scalar(rng) for _ in range(order)]
+def random_vanishing(rng, order, c1_nonzero=False):
+    """A seeded exact series with c_0 = 0, optionally with c_1 != 0."""
+    coeffs = [ComplexRational()] + [random_scalar(rng) for _ in range(order)]
     if c1_nonzero:
-        coeffs[1] = _random_scalar(rng, nonzero=True)
+        coeffs[1] = random_scalar(rng, nonzero=True)
     return TruncatedSeries.exact(coeffs)
 
 
@@ -160,7 +167,7 @@ def _suite_series(order, rng):
 
     def inverse_round_trip():
         for _ in range(10):
-            f = _random_vanishing(rng, order, c1_nonzero=True)
+            f = random_vanishing(rng, order, c1_nonzero=True)
             g = f.invert_composition()
             _ensure(f.compose(g) == identity, "f(g) != z")
             _ensure(g.compose(f) == identity, "g(f) != z")
@@ -169,8 +176,8 @@ def _suite_series(order, rng):
     def reciprocals():
         one = TruncatedSeries.constant(1, order, "exact")
         for _ in range(10):
-            coeffs = [_random_scalar(rng, nonzero=True)] + [
-                _random_scalar(rng) for _ in range(order)
+            coeffs = [random_scalar(rng, nonzero=True)] + [
+                random_scalar(rng) for _ in range(order)
             ]
             f = TruncatedSeries.exact(coeffs)
             _ensure(f * f.reciprocal() == one, "f/f != 1")
@@ -180,9 +187,9 @@ def _suite_series(order, rng):
         n = min(order, 5)
         unit = TruncatedSeries.identity(n, "exact")
         for _ in range(5):
-            f = _random_vanishing(rng, n)
-            g = _random_vanishing(rng, n)
-            h = _random_vanishing(rng, n)
+            f = random_vanishing(rng, n)
+            g = random_vanishing(rng, n)
+            h = random_vanishing(rng, n)
             _ensure(boxed_convolution(f, unit) == f, "z is not a unit")
             left = boxed_convolution(boxed_convolution(f, g), h)
             right = boxed_convolution(f, boxed_convolution(g, h))
@@ -201,12 +208,12 @@ def _suite_series(order, rng):
 def _suite_cumulants(order, rng):
     def psi_round_trip():
         for _ in range(10):
-            m = _random_vanishing(rng, order)
+            m = random_vanishing(rng, order)
             _ensure(
                 moments_from_free_cumulants(free_cumulants_from_moments(m)) == m,
                 "psi moments -> cumulants -> moments",
             )
-            r = _random_vanishing(rng, order)
+            r = random_vanishing(rng, order)
             _ensure(
                 free_cumulants_from_moments(moments_from_free_cumulants(r)) == r,
                 "psi cumulants -> moments -> cumulants",
@@ -215,8 +222,8 @@ def _suite_cumulants(order, rng):
 
     def phi_round_trip():
         for _ in range(10):
-            m = _random_vanishing(rng, order)
-            M = _random_vanishing(rng, order)
+            m = random_vanishing(rng, order)
+            M = random_vanishing(rng, order)
             cr = cfree_cumulants_from_moments(M, m)
             _ensure(
                 phi_moments_from_cfree_cumulants(cr, m) == M,
@@ -227,8 +234,8 @@ def _suite_cumulants(order, rng):
     def against_partition_sums():
         n = min(order, 6)
         for _ in range(5):
-            r = _random_vanishing(rng, n)
-            cr = _random_vanishing(rng, n)
+            r = random_vanishing(rng, n)
+            cr = random_vanishing(rng, n)
             m = moments_from_free_cumulants(r)
             _ensure(
                 m == moments_from_free_cumulants_nc_sum(r),
@@ -243,8 +250,8 @@ def _suite_cumulants(order, rng):
     def product_cumulants():
         n = min(order, 4)
         for _ in range(5):
-            rx = _random_vanishing(rng, n)
-            ry = _random_vanishing(rng, n)
+            rx = random_vanishing(rng, n)
+            ry = random_vanishing(rng, n)
             via_boxed = boxed_convolution(rx, ry)
             for k in range(1, n + 1):
                 _ensure(
@@ -266,8 +273,8 @@ def _suite_cumulants(order, rng):
 def _suite_transforms(order, rng):
     def round_trips():
         for _ in range(10):
-            m = _random_vanishing(rng, order, c1_nonzero=True)
-            M = _random_vanishing(rng, order)
+            m = random_vanishing(rng, order, c1_nonzero=True)
+            M = random_vanishing(rng, order)
             _ensure(moments_from_t(t_transform(m)) == m, "t round trip")
             _ensure(
                 phi_moments_from_ct(ct_transform(M, m), m) == M, "ct round trip"
@@ -277,8 +284,8 @@ def _suite_transforms(order, rng):
     def linked_block_sums():
         n = min(order, 6)
         for _ in range(3):
-            m = _random_vanishing(rng, n, c1_nonzero=True)
-            M = _random_vanishing(rng, n)
+            m = random_vanishing(rng, n, c1_nonzero=True)
+            M = random_vanishing(rng, n)
             t = t_transform(m)
             ct = ct_transform(M, m)
             _ensure(
@@ -294,10 +301,10 @@ def _suite_transforms(order, rng):
     def multiplicativity():
         n = min(order, 5)
         for _ in range(2):
-            mx = _random_vanishing(rng, n, c1_nonzero=True)
-            Mx = _random_vanishing(rng, n)
-            my = _random_vanishing(rng, n, c1_nonzero=True)
-            My = _random_vanishing(rng, n)
+            mx = random_vanishing(rng, n, c1_nonzero=True)
+            Mx = random_vanishing(rng, n)
+            my = random_vanishing(rng, n, c1_nonzero=True)
+            My = random_vanishing(rng, n)
             bx = TransformBundle.from_moments(Mx, mx)
             by = TransformBundle.from_moments(My, my)
             x = TwoStateData.from_moments(Mx, mx)
@@ -318,8 +325,8 @@ def _suite_transforms(order, rng):
 
     def sigma_value():
         for _ in range(5):
-            m = _random_vanishing(rng, order, c1_nonzero=True)
-            M = _random_vanishing(rng, order)
+            m = random_vanishing(rng, order, c1_nonzero=True)
+            M = random_vanishing(rng, order)
             sigma = sigma_series(M, m)
             _ensure(sigma.coeffs[0] == M.coeffs[1], "sigma(0) != first phi moment")
         return f"5 cases at order {order}"

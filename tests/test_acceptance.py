@@ -11,16 +11,11 @@ import time
 from fractions import Fraction
 
 from cfreeconv.cumulants import (
-    Kappa,
     TwoStateData,
     cfree_cumulants_from_moments,
-    cfree_product_cumulant_series,
     free_cumulants_from_moments,
-    kappa,
     moments_from_free_cumulants,
     phi_moments_from_cfree_cumulants,
-    product_phi_cumulants,
-    product_psi_cumulants,
 )
 from cfreeconv.measures import (
     CircleMeasure,
@@ -35,7 +30,19 @@ from cfreeconv.measures import (
     semigroup_pair,
     toeplitz_psd_check,
 )
-from cfreeconv.oracles import catalan_numbers, ncl_block_families
+from cfreeconv.oracles import (
+    Kappa,
+    boxed_convolution,
+    boxed_convolution_checked,
+    catalan_numbers,
+    cfree_product_cumulant_series,
+    kappa,
+    ncl_block_families,
+    phi_moments_via_linked_blocks,
+    product_phi_cumulants,
+    product_psi_cumulants,
+    psi_moments_via_linked_blocks,
+)
 from cfreeconv.partitions import (
     enumerate_nc,
     enumerate_nc_0,
@@ -44,12 +51,7 @@ from cfreeconv.partitions import (
     group_nc_s_by_join,
     kreweras,
 )
-from cfreeconv.series import (
-    ComplexRational,
-    TruncatedSeries,
-    boxed_convolution,
-    boxed_convolution_checked,
-)
+from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import (
     TransformBundle,
     b_series,
@@ -57,10 +59,9 @@ from cfreeconv.transforms import (
     eta,
     moments_from_t,
     phi_moments_from_ct,
-    phi_moments_via_linked_blocks,
-    psi_moments_via_linked_blocks,
     t_transform,
 )
+from cfreeconv.verify import random_vanishing
 
 import cmath
 import math
@@ -68,23 +69,6 @@ import math
 
 def q(re, im=0):
     return ComplexRational(Fraction(re), Fraction(im))
-
-
-def random_scalar(rng, nonzero=False):
-    while True:
-        s = q(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-        )
-        if s or not nonzero:
-            return s
-
-
-def random_vanishing(rng, order, c1_nonzero=False):
-    coeffs = [q(0)] + [random_scalar(rng) for _ in range(order)]
-    if c1_nonzero:
-        coeffs[1] = random_scalar(rng, nonzero=True)
-    return TruncatedSeries.exact(coeffs)
 
 
 def moment_gap(a, b, order):

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from cfreeconv import verify
+from cfreeconv import errors, transforms, verify
 from cfreeconv.cli import main
 from cfreeconv.measures import CircleMeasure, boolean_convolve
 from cfreeconv.series import TruncatedSeries
@@ -180,3 +181,56 @@ def test_unknown_flags_exit_two():
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main(["transform", "--in", "x.json", "--what", "nope"])
+
+
+# mu = 1/2 d_0 + 1/3 d_{1/3} + 1/6 d_{1/7} and nu = 3/4 d_0 + 1/4 d_{1/5}:
+# at order 32 the two sigma routes differ by about 8e-4 in absolute terms,
+# against coefficients up to about 2.3e11 -- a relative gap of 3.5e-15.
+LARGE_SIGMA_PAIR = {
+    "mu": {
+        "type": "atomic",
+        "atoms": [
+            {"turns": "0", "weight": "1/2"},
+            {"turns": "1/3", "weight": "1/3"},
+            {"turns": "1/7", "weight": "1/6"},
+        ],
+    },
+    "nu": {
+        "type": "atomic",
+        "atoms": [{"turns": "0", "weight": "3/4"}, {"turns": "1/5", "weight": "1/4"}],
+    },
+}
+
+
+def test_sigma_gate_scales_with_coefficient_size(tmp_path, capsys):
+    src = write(tmp_path / "p.json", LARGE_SIGMA_PAIR)
+    assert main(["transform", "--in", src, "--what", "sigma", "--order", "32"]) == 0
+    got = TruncatedSeries.from_json(json.loads(capsys.readouterr().out))
+    assert got.order == 31 and got.mode == "approx"
+    first_phi = CircleMeasure.from_json(LARGE_SIGMA_PAIR["mu"]).moment_series(1).coeffs[1]
+    assert abs(got.coeffs[0] - first_phi) < 1e-12
+    assert max(abs(c) for c in got.coeffs) > 1e10
+
+
+def test_sigma_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
+    true_ct = transforms.ct_transform
+
+    def nudged(M, m):
+        ct = true_ct(M, m)
+        bump = Fraction(1, 1000) if ct.mode == "exact" else 1e-3
+        return ct + TruncatedSeries.constant(bump, ct.order, ct.mode)
+
+    monkeypatch.setattr(transforms, "ct_transform", nudged)
+    pair = {"mu": delta("1/4"), "nu": MIX}
+    mu = CircleMeasure.from_json(pair["mu"]).moment_series(6)
+    nu = CircleMeasure.from_json(pair["nu"]).moment_series(6)
+    with pytest.raises(errors.NumericalError):
+        transforms.sigma_series(mu, nu)
+    with pytest.raises(errors.NumericalError):
+        transforms.sigma_series(mu.to_approx(), nu.to_approx())
+    src = write(tmp_path / "p.json", pair)
+    assert main(["transform", "--in", src, "--what", "sigma", "--order", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma routes disagree")
+    assert "Traceback" not in captured.err

@@ -8,42 +8,29 @@ from cfreeconv.cumulants import (
     OneStateData,
     TwoStateData,
     cfree_cumulants_from_moments,
-    cfree_product_cumulant_series,
     free_cumulants_from_moments,
-    Kappa,
-    kappa,
     moments_from_free_cumulants,
-    moments_from_free_cumulants_nc_sum,
     phi_moments_from_cfree_cumulants,
+)
+from cfreeconv.errors import DomainError
+from cfreeconv.oracles import (
+    Kappa,
+    boxed_convolution,
+    cfree_product_cumulant_series,
+    kappa,
+    moments_from_free_cumulants_nc_sum,
     phi_moments_nc_sum,
     product_phi_cumulants,
     product_psi_cumulants,
     word_cumulant,
 )
-from cfreeconv.errors import DomainError
 from cfreeconv.partitions import NCPartition, enumerate_nc, group_nc_s_by_join
-from cfreeconv.series import ComplexRational, TruncatedSeries, boxed_convolution
+from cfreeconv.series import ComplexRational, TruncatedSeries
+from cfreeconv.verify import random_vanishing
 
 
 def q(re, im=0):
     return ComplexRational(Fraction(re), Fraction(im))
-
-
-def random_scalar(rng, nonzero=False):
-    while True:
-        s = q(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-        )
-        if s or not nonzero:
-            return s
-
-
-def random_vanishing(rng, order, c1_nonzero=False):
-    coeffs = [q(0)] + [random_scalar(rng) for _ in range(order)]
-    if c1_nonzero:
-        coeffs[1] = random_scalar(rng, nonzero=True)
-    return TruncatedSeries.exact(coeffs)
 
 
 def test_low_order_formulas():

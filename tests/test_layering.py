@@ -1,0 +1,70 @@
+"""The production modules never reach the partition-sum oracle layer.
+
+``series``, ``cumulants``, ``transforms`` and ``measures`` carry the
+analytic route; every sum over partitions lives in ``oracles`` and is only
+ever called by the tests and ``cfreeconv verify``.  The check reads the
+sources, so an import hidden inside a function counts too.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfreeconv"
+PRODUCTION = ("series", "cumulants", "transforms", "measures")
+FORBIDDEN = {"partitions", "oracles"}
+
+
+def package_imports(tree):
+    """The cfreeconv modules an AST imports anywhere, as bare module names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("cfreeconv"):
+                continue
+            parts = (node.module or "").split(".")[1 if node.level == 0 else 0:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # "from . import x" or "from cfreeconv import x"
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "cfreeconv" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def top_level_functions(path):
+    tree = ast.parse(path.read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_module_imports_no_oracles(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert package_imports(tree) & FORBIDDEN == set()
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_module_defines_no_oracle_route(module):
+    shared = top_level_functions(PACKAGE / f"{module}.py") & top_level_functions(
+        PACKAGE / "oracles.py"
+    )
+    assert shared == set()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .partitions import enumerate_nc",
+        "def f():\n    from .oracles import boxed_convolution\n",
+        "from . import partitions",
+        "import cfreeconv.oracles",
+        "from cfreeconv.partitions import kreweras",
+        "from cfreeconv import oracles",
+    ],
+    ids=["relative", "in-function", "relative-module", "absolute", "absolute-from", "absolute-module"],
+)
+def test_import_detector_sees_every_form(source):
+    assert package_imports(ast.parse(source)) & FORBIDDEN

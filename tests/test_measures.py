@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfreeconv.cumulants import free_cumulants_from_moments, product_psi_cumulants
+from cfreeconv.cumulants import free_cumulants_from_moments
 from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
 from cfreeconv.measures import (
     CenteredArrayRow,
@@ -28,6 +28,7 @@ from cfreeconv.measures import (
     series_pow,
     toeplitz_psd_check,
 )
+from cfreeconv.oracles import product_psi_cumulants
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import b_series, sigma_series
 

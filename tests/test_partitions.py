@@ -15,8 +15,6 @@ from cfreeconv.partitions import (
     enumerate_nc_s,
     enumerate_ncl,
     group_nc_s_by_join,
-    has_single_exterior_block,
-    has_two_exterior_blocks,
     is_noncrossing,
     juxtapose,
     kreweras,
@@ -82,8 +80,8 @@ def test_exterior_interior_split():
     assert p.interior_blocks() == ((2, 4), (3,))
     q = NCPartition(4, [[1, 2], [3, 4]])
     assert q.interior_blocks() == ()
-    assert has_single_exterior_block(p)
-    assert has_two_exterior_blocks(q)
+    assert len(p.ext_blocks) == 1
+    assert len(q.ext_blocks) == 2
 
 
 def test_kreweras_small_cases():

@@ -10,10 +10,8 @@ from cfreeconv.series import (
     EXACT,
     ComplexRational,
     TruncatedSeries,
-    boxed_convolution,
-    boxed_convolution_checked,
-    cf_weight,
 )
+from cfreeconv.oracles import boxed_convolution, boxed_convolution_checked, cf_weight
 
 
 def q(re, im=0):

@@ -6,48 +6,32 @@ import pytest
 
 from cfreeconv.cumulants import (
     TwoStateData,
+    cfree_cumulants_from_moments,
     free_cumulants_from_moments,
-    product_phi_cumulants,
-    product_psi_cumulants,
 )
 from cfreeconv.errors import ArgumentError, DomainError
+from cfreeconv.oracles import (
+    phi_moments_via_linked_blocks,
+    product_phi_cumulants,
+    product_psi_cumulants,
+    psi_moments_via_linked_blocks,
+)
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import (
     TransformBundle,
     b_series,
-    cr_transform,
     ct_transform,
     eta,
     moments_from_t,
-    moments_via_ncl,
     phi_moments_from_ct,
-    phi_moments_via_linked_blocks,
-    psi_moments_via_linked_blocks,
-    r_transform,
     sigma_series,
     t_transform,
 )
+from cfreeconv.verify import random_scalar, random_vanishing
 
 
 def q(re, im=0):
     return ComplexRational(Fraction(re), Fraction(im))
-
-
-def random_scalar(rng, nonzero=False):
-    while True:
-        s = q(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-        )
-        if s or not nonzero:
-            return s
-
-
-def random_vanishing(rng, order, c1_nonzero=False):
-    coeffs = [q(0)] + [random_scalar(rng) for _ in range(order)]
-    if c1_nonzero:
-        coeffs[1] = random_scalar(rng, nonzero=True)
-    return TruncatedSeries.exact(coeffs)
 
 
 def random_headed(rng, order):
@@ -122,8 +106,8 @@ def test_three_way_linked_block_oracle():
         assert phi_moments_via_linked_blocks(ct, t) == M_rec
         assert t_transform(m_rec) == t
         assert ct_transform(M_rec, m_rec) == ct
-        assert moments_via_ncl(t, n=4) == m_rec.coeffs[4]
-        assert moments_via_ncl(t, ct, n=4) == M_rec.coeffs[4]
+        assert psi_moments_via_linked_blocks(t, n_max=4) == m_rec.truncate(4)
+        assert phi_moments_via_linked_blocks(ct, t, n_max=4) == M_rec.truncate(4)
 
 
 def test_moment_count_requests():
@@ -194,14 +178,13 @@ def test_cumulant_transform_wrappers():
     rng = random.Random(58)
     m = random_vanishing(rng, 6, c1_nonzero=True)
     M = random_vanishing(rng, 6)
-    r = r_transform(m)
-    cr = cr_transform(M, m)
-    assert r == free_cumulants_from_moments(m)
+    r = free_cumulants_from_moments(m)
+    cr = cfree_cumulants_from_moments(M, m)
     assert r.coeffs[2] == m.coeffs[2] - m.coeffs[1] ** 2
     assert cr.coeffs[1] == M.coeffs[1]
     assert cr.coeffs[2] == M.coeffs[2] - M.coeffs[1] ** 2
     with pytest.raises(ArgumentError):
-        r_transform(random_headed(rng, 3))
+        free_cumulants_from_moments(random_headed(rng, 3))
 
 
 def test_eta_low_order():
