@@ -22,4 +22,4 @@ class ResourceLimitError(CfreeError):
 
 
 class NumericalError(CfreeError):
-    """Two independent routes to the same quantity disagree beyond tolerance."""
+    """A computed result disagrees with a second route or breaks a bound it must keep."""

@@ -22,16 +22,19 @@ from fractions import Fraction
 
 import numpy
 
-from .errors import ArgumentError, DomainError, UnsupportedDomainError
+from .errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
 from .series import ComplexRational, TruncatedSeries, _coerce, _one
 from .transforms import (
     TransformBundle,
+    _moments_from_eta,
     b_series,
     eta,
     moments_from_t,
     sigma_series,
     t_transform,
 )
+
+_MOMENT_SLACK = 1e-7  # double-precision moments of a law may exceed 1 by this much
 
 _QUARTER = {
     Fraction(0): ComplexRational(1),
@@ -111,7 +114,7 @@ class CircleMeasure:
     def moment_seq(cls, values):
         vals = tuple(values)
         for v in vals:
-            if abs(_as_complex(v)) > 1 + 1e-7:
+            if abs(_as_complex(v)) > 1 + _MOMENT_SLACK:
                 raise ArgumentError("moments of a law on the circle are bounded by 1")
         return cls("moments", values=vals)
 
@@ -332,11 +335,25 @@ def _pick_mode(mode, *measures):
     return "approx"
 
 
+def _computed_law(values):
+    """The law with the moments 1..N computed in this module.
+
+    A computed moment outside the unit disk means double precision lost the
+    result, so this raises :class:`NumericalError`; ``moment_seq`` keeps
+    :class:`ArgumentError` for lists the caller supplies.
+    """
+    largest = max((abs(_as_complex(v)) for v in values), default=0.0)
+    if largest > 1 + _MOMENT_SLACK:
+        raise NumericalError(
+            f"computed moments at order {len(values)} reach modulus {largest:.3e}, "
+            "beyond the bound 1 for a law on the circle"
+        )
+    return CircleMeasure("moments", values=tuple(values))
+
+
 def _measure_from_eta(e):
     """Law with the given eta-series, through m = eta/(1 - eta)."""
-    one = TruncatedSeries.constant(_one(e.mode), e.order, e.mode)
-    m = e * (one - e).reciprocal()
-    return CircleMeasure.moment_seq(m.coeffs[1:])
+    return _computed_law(_moments_from_eta(e).coeffs[1:])
 
 
 def moments_of(m, order):
@@ -359,7 +376,7 @@ def free_multiplicative_convolve(nu1, nu2, order=8, mode=None):
     t = t_transform(nu1.moment_series(order, mode)) * t_transform(
         nu2.moment_series(order, mode)
     )
-    return CircleMeasure.moment_seq(moments_from_t(t).coeffs[1:])
+    return _computed_law(moments_from_t(t).coeffs[1:])
 
 
 def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
@@ -384,7 +401,7 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
         for _ in range(order):
             power = power * c
             values.append(power)
-        return MeasurePair(CircleMeasure.moment_seq(values), CircleMeasure.haar())
+        return MeasurePair(_computed_law(values), CircleMeasure.haar())
     if uniform1 or uniform2:
         raise UnsupportedDomainError(
             "a uniform psi-law only convolves with another uniform psi-law"
@@ -400,8 +417,8 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
         bundles.append(TransformBundle.from_moments(p.mu.moment_series(order, mode), m))
     product = bundles[0].multiply(bundles[1])
     return MeasurePair(
-        CircleMeasure.moment_seq(product.M.coeffs[1:]),
-        CircleMeasure.moment_seq(product.m.coeffs[1:]),
+        _computed_law(product.M.coeffs[1:]),
+        _computed_law(product.m.coeffs[1:]),
     )
 
 

@@ -9,7 +9,7 @@ honest to be checked against.  The partition sums restate the package's
 identities as sums over non-crossing, parity-constant and linked
 partitions: moments from cumulants, the boxed convolution, the cumulants
 of a product, and moments from the t- and ct-series.  The test-suite and
-``cfreeconv verify`` insist they agree with the recurrences in
+``cfreeconv verify`` insist they agree with the closed forms in
 :mod:`cumulants` and :mod:`transforms`.  Sizes are small; clarity beats
 speed.
 """
@@ -197,19 +197,16 @@ def ncl_block_families(n):
 # Partition-indexed coefficient products and boxed convolution
 # ---------------------------------------------------------------------------
 
-def cf_weight(p, f, index_shift=0):
-    """Product over the blocks of ``p`` of the coefficient at |block|+shift.
+def cf_weight(p, f):
+    """Product over the blocks of ``p`` of the coefficient at |block|.
 
-    ``index_shift`` 0 reads one-indexed coefficient families (cumulant
-    series with c_0 = 0); -1 reads zero-indexed ones (the t-coefficient
-    convention).
+    This reads one-indexed coefficient families (cumulant series with
+    c_0 = 0).
     """
-    if index_shift not in (0, -1):
-        raise ArgumentError("index_shift must be 0 or -1")
     blocks = getattr(p, "blocks", p)
     out = _one(f.mode)
     for b in blocks:
-        out = out * f.coefficient(len(b) + index_shift)
+        out = out * f.coefficient(len(b))
     return out
 
 
@@ -277,7 +274,7 @@ def phi_moments_via_linked_blocks(ct, t, n_max=None):
 
     Each family gamma of {1..n} contributes t_0^(n - #blocks) times the
     product over blocks B of the coefficient at |B|-1; the prefactor stays
-    in the psi family.  Independent of the fixed-point recurrences in
+    in the psi family.  Independent of the closed form zc/(1-zc) in
     :func:`transforms.phi_moments_from_ct`, and much slower.
     """
     if ct.order != t.order or ct.mode != t.mode:

@@ -303,21 +303,21 @@ class TruncatedSeries:
     def invert_composition(self):
         """The compositional inverse g with self(g(z)) = z + O(z^{N+1}).
 
-        Needs c_0 = 0 and c_1 invertible.  Built order by order: the next
-        coefficient is fixed by requiring the corresponding coefficient of
-        self(g) to vanish.
+        Needs c_0 = 0 and c_1 invertible.  Lagrange reversion: with
+        h = z/self(z), the coefficient g_k is [z^(k-1)] h^k / k, so one
+        reciprocal and the powers of h give every coefficient.
         """
         if self.coeffs[0]:
             raise DomainError("compositional inverse needs c_0 = 0")
-        c1 = self.coeffs[1] if self.order >= 1 else _zero(self.mode)
-        if not c1:
+        if self.order < 1 or not self.coeffs[1]:
             raise DomainError("compositional inverse needs c_1 != 0")
-        n = self.order
-        g = [_zero(self.mode), _one(self.mode) / c1] + [_zero(self.mode)] * (n - 1)
-        for m in range(2, n + 1):
-            partial = TruncatedSeries(g[:m], self.mode, n)
-            val = self.compose(partial).coeffs[m]
-            g[m] = -val / c1
+        h = self.shift_down().reciprocal()
+        g = [_zero(self.mode)]
+        power = h
+        for k in range(1, self.order + 1):
+            g.append(power.coeffs[k - 1] / k)
+            if k < self.order:
+                power = power * h
         return TruncatedSeries(g, self.mode)
 
     def to_approx(self):

@@ -1,22 +1,24 @@
 """Multiplicative transforms of one- and two-state laws.
 
 Everything here is a reparametrization of the moment data of a law whose
-first moment is invertible.  Writing R for the psi-cumulant series and cR
-for the phi-side cumulant series, the two workhorses are
+first moment is invertible.  Writing m for the psi-moments, M for the
+phi-moments and b(M) = M / (z (1 + M)), the two workhorses are closed forms
+over one compositional inverse m^-1:
 
-    t  =  (R / z)  o  R-inverse        (compositional inverse),
-    ct = (cR / z)  o  R-inverse,
+    t  = b(m) o m^-1  =  u / ((1 + u) m^-1(u)),
+    ct = b(M) o m^-1,
 
-both one order lower than the input moments.  Their value is that the
-multiplicative convolution of laws turns into the coefficientwise product
-of these series, which the test-suite checks against the partition-sum
-route.  Moments are recovered through the fixed-point recurrences
+both one order lower than the input moments.  (In cumulant terms they are
+(R/z) o R^-1 and (cR/z) o R^-1.)  Their value is that the multiplicative
+convolution of laws turns into the coefficientwise product of these
+series, which the test-suite checks against the partition-sum route.
+Moments come back in closed form,
 
-    m(z) / z = t(m(z)) (1 + m(z)),
-    M(z) / z = ct(m(z)) (1 + M(z)),
+    m = (u / (t(u) (1 + u)))^-1,
+    M = z c / (1 - z c),   c = ct o m,
 
 and, independently, as sums over linked non-crossing block families in
-:mod:`oracles`, which serve as the brute-force check on the recurrences.
+:mod:`oracles`, which serve as the brute-force check on the closed forms.
 
 The remaining transforms are the boolean-style ones: eta = m/(1+m), its
 shifted form b = eta/z, and the pair transform sigma = ct o (z/(1-z)),
@@ -28,12 +30,7 @@ from __future__ import annotations
 
 import functools
 
-from .cumulants import (
-    OneStateData,
-    TwoStateData,
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-)
+from .cumulants import OneStateData, TwoStateData
 from .errors import ArgumentError, DomainError, NumericalError
 from .series import TruncatedSeries, _one, _zero
 
@@ -46,59 +43,48 @@ def _vanishing_invertible(m, what):
 
 
 def t_transform(m):
-    """Shifted psi-cumulant series in the cumulant variable; order drops by 1."""
+    """b(m) o m^-1, the shifted psi-cumulant series; order drops by 1."""
     _vanishing_invertible(m, "a psi-moment series")
-    r = free_cumulants_from_moments(m)
-    return r.shift_down().compose(r.invert_composition())
+    return b_series(m).compose(m.invert_composition())
 
 
 def ct_transform(M, psi):
-    """Shifted phi-side cumulant series in the psi-cumulant variable."""
+    """b(M) o m^-1, the shifted phi-side cumulant series; order drops by 1."""
     m = psi.moments if isinstance(psi, OneStateData) else psi
     _vanishing_invertible(m, "a psi-moment series")
-    cr = cfree_cumulants_from_moments(M, m)
-    r = free_cumulants_from_moments(m)
-    return cr.shift_down().compose(r.invert_composition())
+    if M.order != m.order or M.mode != m.mode:
+        raise ArgumentError("phi and psi series must share order and mode")
+    return b_series(M).compose(m.invert_composition())
 
 
 def moments_from_t(t, n=None):
-    """Rebuild psi-moments from t via m/z = t(m)(1+m).
+    """Rebuild psi-moments from t as the inverse of u/(t(u)(1+u)).
 
-    The right side at z^(n-1) only involves moments below n, so the
-    coefficients peel off one at a time.  ``n`` moments are produced
-    (default, and maximum, one more than the order of t).
+    ``n`` moments are produced (default, and maximum, one more than the
+    order of t).  A t-series with t_0 = 0 forces m_1 = 0 and, through
+    m/z = t(m)(1+m), every later moment to zero as well.
     """
-    k_max = t.order
     if n is None:
-        n = k_max + 1
-    if not 1 <= n <= k_max + 1:
+        n = t.order + 1
+    if not 1 <= n <= t.order + 1:
         raise ArgumentError("the t coefficients determine moments 1..order+1")
-    one = TruncatedSeries.constant(_one(t.mode), k_max, t.mode)
-    m = [_zero(t.mode)] * (k_max + 2)
-    for j in range(1, k_max + 2):
-        partial = TruncatedSeries(m[: min(j, k_max + 1)], t.mode, k_max)
-        m[j] = (t.compose(partial) * (one + partial)).coeffs[j - 1]
-    return TruncatedSeries(m[: n + 1], t.mode)
+    if not t.coeffs[0]:
+        return TruncatedSeries.zero(n, t.mode)
+    t_one_plus_u = t + t.shift_up().truncate(t.order)
+    return t_one_plus_u.reciprocal().shift_up().invert_composition().truncate(n)
 
 
 def phi_moments_from_ct(ct, m, n=None):
-    """Rebuild phi-moments from ct and the psi-moments, via M/z = ct(m)(1+M)."""
-    k_max = ct.order
+    """Rebuild phi-moments from ct and the psi-moments as zc/(1-zc), c = ct o m."""
     if n is None:
-        n = k_max + 1
-    if not 1 <= n <= k_max + 1:
+        n = ct.order + 1
+    if not 1 <= n <= ct.order + 1:
         raise ArgumentError("the ct coefficients determine moments 1..order+1")
-    if m.order < k_max or m.mode != ct.mode:
+    if m.order < ct.order or m.mode != ct.mode:
         raise ArgumentError("psi-moments must reach the order of ct, same mode")
     if m.coeffs[0]:
         raise ArgumentError("a psi-moment series must have a vanishing constant term")
-    base = ct.compose(m)
-    one = TruncatedSeries.constant(_one(ct.mode), k_max, ct.mode)
-    M = [_zero(ct.mode)] * (k_max + 2)
-    for j in range(1, k_max + 2):
-        partial = TruncatedSeries(M[: min(j, k_max + 1)], ct.mode, k_max)
-        M[j] = (base * (one + partial)).coeffs[j - 1]
-    return TruncatedSeries(M[: n + 1], ct.mode)
+    return _moments_from_eta(ct.compose(m).shift_up()).truncate(n)
 
 
 def eta(m):
@@ -107,6 +93,12 @@ def eta(m):
         raise ArgumentError("eta expects a series with a vanishing constant term")
     one = TruncatedSeries.constant(_one(m.mode), m.order, m.mode)
     return m * (one + m).reciprocal()
+
+
+def _moments_from_eta(e):
+    """Invert :func:`eta`: the moment series e/(1-e)."""
+    one = TruncatedSeries.constant(_one(e.mode), e.order, e.mode)
+    return e * (one - e).reciprocal()
 
 
 def b_series(M):
@@ -151,9 +143,11 @@ class TransformBundle:
     ``m``/``M``/``R``/``cR``/``eta`` carry the moment-data order; the
     shifted series ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below,
     since the top coefficient of a shifted composition is not determined
-    by the data.  ``multiply`` is the multiplicative convolution of laws:
-    both shifted cumulant series multiply coefficientwise and the moments
-    are rebuilt from the product.
+    by the data.  ``T`` and ``cT`` share one reversion of ``m``, and
+    nothing but ``R`` and ``cR`` themselves reads the cumulants.
+    ``multiply`` is the multiplicative convolution of laws: both shifted
+    cumulant series multiply coefficientwise and the moments are rebuilt
+    from the product.
     """
 
     def __init__(self, data):
@@ -183,16 +177,16 @@ class TransformBundle:
         return self.data.cfree_cumulants
 
     @functools.cached_property
-    def _r_inverse(self):
-        return self.R.invert_composition()
+    def _m_inverse(self):
+        return self.m.invert_composition()
 
     @functools.cached_property
     def T(self):
-        return self.R.shift_down().compose(self._r_inverse)
+        return self.eta.shift_down().compose(self._m_inverse)
 
     @functools.cached_property
     def cT(self):
-        return self.cR.shift_down().compose(self._r_inverse)
+        return self.B.compose(self._m_inverse)
 
     @functools.cached_property
     def eta(self):

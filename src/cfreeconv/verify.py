@@ -239,11 +239,11 @@ def _suite_cumulants(order, rng):
             m = moments_from_free_cumulants(r)
             _ensure(
                 m == moments_from_free_cumulants_nc_sum(r),
-                "psi recurrence != partition sum",
+                "psi closed form != partition sum",
             )
             _ensure(
                 phi_moments_from_cfree_cumulants(cr, m) == phi_moments_nc_sum(cr, r),
-                "phi recurrence != partition sum",
+                "phi closed form != partition sum",
             )
         return f"5 cases at order {n}"
 
@@ -264,7 +264,7 @@ def _suite_cumulants(order, rng):
         [
             ("psi round trips", psi_round_trip),
             ("phi round trips", phi_round_trip),
-            ("recurrences vs partition sums", against_partition_sums),
+            ("closed forms vs partition sums", against_partition_sums),
             ("product cumulants vs boxed convolution", product_cumulants),
         ]
     )

@@ -204,7 +204,7 @@ def test_criterion_4_linked_block_three_way_oracle():
         ct0, ct1 = ct.coeffs[0], ct.coeffs[1]
         assert M.coeffs[2] == t0 * ct1 + ct0**2
     print(
-        "criterion 4: PASS - linked-block sums, fixed-point recurrences, and "
+        "criterion 4: PASS - linked-block sums, closed-form moment recovery, and "
         "round trips agree exactly on both states to n=8; cubic and quadratic "
         "witnesses hold"
     )

@@ -5,7 +5,7 @@ import pytest
 
 from cfreeconv import errors, transforms, verify
 from cfreeconv.cli import main
-from cfreeconv.measures import CircleMeasure, boolean_convolve
+from cfreeconv.measures import CircleMeasure, boolean_convolve, free_multiplicative_convolve
 from cfreeconv.series import TruncatedSeries
 
 
@@ -233,4 +233,35 @@ def test_sigma_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sigma routes disagree")
+    assert "Traceback" not in captured.err
+
+
+# a = 1/2 d_0 + 1/3 d_{1/12} + 1/6 d_{5/12} and b = 3/4 d_0 + 1/4 d_{1/6}:
+# at order 48 the free product's moments come out of double precision with
+# moduli far above 1.  That is lost precision, not bad input.
+LOST_PRECISION_A = {
+    "type": "atomic",
+    "atoms": [
+        {"turns": "0", "weight": "1/2"},
+        {"turns": "1/12", "weight": "1/3"},
+        {"turns": "5/12", "weight": "1/6"},
+    ],
+}
+LOST_PRECISION_B = {
+    "type": "atomic",
+    "atoms": [{"turns": "0", "weight": "3/4"}, {"turns": "1/6", "weight": "1/4"}],
+}
+
+
+def test_computed_moment_bound_raises_numerical_error(tmp_path, capsys):
+    a = CircleMeasure.from_json(LOST_PRECISION_A)
+    b = CircleMeasure.from_json(LOST_PRECISION_B)
+    with pytest.raises(errors.NumericalError, match="order 48"):
+        free_multiplicative_convolve(a, b, 48)
+    src_a = write(tmp_path / "a.json", LOST_PRECISION_A)
+    src_b = write(tmp_path / "b.json", LOST_PRECISION_B)
+    assert main(["convolve", "--kind", "free", "--a", src_a, "--b", src_b, "--order", "48"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: computed moments at order 48 reach modulus")
     assert "Traceback" not in captured.err

@@ -67,6 +67,9 @@ def test_roundtrips_exact():
         assert moments_from_free_cumulants(r) == m
         r2 = random_vanishing(rng, 8)
         assert free_cumulants_from_moments(moments_from_free_cumulants(r2)) == r2
+    flat = TruncatedSeries.exact([0, 0, 1, 2, 3])  # m_1 = 0
+    assert moments_from_free_cumulants(free_cumulants_from_moments(flat)) == flat
+    assert free_cumulants_from_moments(moments_from_free_cumulants(flat)) == flat
 
 
 def test_cfree_roundtrips_exact():
@@ -77,6 +80,10 @@ def test_cfree_roundtrips_exact():
         psi = OneStateData.from_moments(m)
         cr = cfree_cumulants_from_moments(M, psi)
         assert phi_moments_from_cfree_cumulants(cr, psi) == M
+    flat = TruncatedSeries.exact([0, 0, 1, 2, 3])  # m_1 = 0
+    M = TruncatedSeries.exact([0, 1, 0, 2, 1])
+    assert phi_moments_from_cfree_cumulants(cfree_cumulants_from_moments(M, flat), flat) == M
+    assert phi_moments_from_cfree_cumulants(cfree_cumulants_from_moments(flat, M), M) == flat
 
 
 def test_recurrence_agrees_with_partition_sums():

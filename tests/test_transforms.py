@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfreeconv import cumulants
 from cfreeconv.cumulants import (
     TwoStateData,
     cfree_cumulants_from_moments,
@@ -123,6 +124,9 @@ def test_moment_count_requests():
         moments_from_t(t, n=7)
     with pytest.raises(ArgumentError):
         phi_moments_from_ct(ct, m, n=0)
+    headless = TruncatedSeries.exact([0, 2, 3, 5, 7, 1])  # t_0 = 0 forces every moment to 0
+    assert moments_from_t(headless) == TruncatedSeries.zero(6, "exact")
+    assert moments_from_t(headless, n=3) == TruncatedSeries.zero(3, "exact")
 
 
 def test_multiplicativity_matches_partition_route():
@@ -213,11 +217,15 @@ def test_domain_errors():
         phi_moments_via_linked_blocks(ct, t)
 
 
-def test_bundle_fields_match_free_functions():
+def test_bundle_fields_match_free_functions(monkeypatch):
     rng = random.Random(58)
     m = random_vanishing(rng, 6, c1_nonzero=True)
     M = random_vanishing(rng, 6)
     bundle = TransformBundle.from_moments(M, m)
+    with monkeypatch.context() as patch:  # a product never reads R or cR
+        for name in ("free_cumulants_from_moments", "cfree_cumulants_from_moments"):
+            patch.setattr(cumulants, name, None)
+        bundle.multiply(bundle)
     assert bundle.T == t_transform(m)
     assert bundle.cT == ct_transform(M, m)
     assert bundle.eta == eta(m)
