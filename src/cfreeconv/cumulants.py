@@ -120,9 +120,6 @@ class OneStateData:
     def mode(self):
         return self.moments.mode
 
-    def moment(self, k):
-        return self.moments.coefficient(k)
-
     def cumulant(self, k):
         return self.free_cumulants.coefficient(k)
 
@@ -168,9 +165,6 @@ class TwoStateData:
     @property
     def mode(self):
         return self.psi.mode
-
-    def phi_moment(self, k):
-        return self.phi_moments.coefficient(k)
 
     def cfree_cumulant(self, k):
         return self.cfree_cumulants.coefficient(k)

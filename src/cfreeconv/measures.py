@@ -446,6 +446,8 @@ def herglotz_exp(g, sign, order=8):
 
 def idiv_boolean_measure(g, order=8):
     """The boolean-convolution infinitely divisible law generated by g."""
+    if order < 1:
+        raise ArgumentError("at least one moment must be requested")
     return _measure_from_eta(herglotz_exp(g, -1, order - 1).shift_up())
 
 
@@ -455,6 +457,8 @@ def idiv_free_measure(g, order=8):
     The generator exponential here is the compositional inverse of the
     eta-series, so one series reversion recovers the moments.
     """
+    if order < 1:
+        raise ArgumentError("at least one moment must be requested")
     inverse = herglotz_exp(g, 1, order - 1).shift_up()
     return _measure_from_eta(inverse.invert_composition())
 

@@ -120,7 +120,12 @@ def sigma_series(M, m):
     modulus of either route (at least 1) -- and the second route is
     returned.
     """
-    via_ct = ct_transform(M, m).compose(_geometric(M.order - 1, M.mode))
+    return _sigma_from_ct(ct_transform(M, m), M, m)
+
+
+def _sigma_from_ct(ct, M, m):
+    """:func:`sigma_series` given ct = ct_transform(M, m), and its gate."""
+    via_ct = ct.compose(_geometric(M.order - 1, M.mode))
     via_b = b_series(M).compose(eta(m).invert_composition())
     if M.mode == "exact":
         if via_ct != via_b:
@@ -143,8 +148,9 @@ class TransformBundle:
     ``m``/``M``/``R``/``cR``/``eta`` carry the moment-data order; the
     shifted series ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below,
     since the top coefficient of a shifted composition is not determined
-    by the data.  ``T`` and ``cT`` share one reversion of ``m``, and
-    nothing but ``R`` and ``cR`` themselves reads the cumulants.
+    by the data.  ``T``, ``cT`` and ``Sigma`` share one reversion of ``m``
+    (``Sigma`` adds one of ``eta``), and nothing but ``R`` and ``cR``
+    themselves reads the cumulants.
     ``multiply`` is the multiplicative convolution of laws: both shifted
     cumulant series multiply coefficientwise and the moments are rebuilt
     from the product.
@@ -198,7 +204,7 @@ class TransformBundle:
 
     @functools.cached_property
     def Sigma(self):
-        return sigma_series(self.M, self.m)
+        return _sigma_from_ct(self.cT, self.M, self.m)
 
     @property
     def order(self):

@@ -127,6 +127,15 @@ def test_idiv_gamma_forms(tmp_path, capsys):
     assert "unit circle" in capsys.readouterr().err
 
 
+def test_idiv_refuses_fewer_than_one_moment(capsys):
+    for kind in ("free", "boolean"):
+        for order in ("0", "-3"):
+            assert main(["idiv", "--gamma", "1,0", "--kind", kind, "--order", order]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: at least one moment must be requested\n"
+
+
 def test_semigroup_time_zero_is_the_unit_pair(tmp_path, capsys):
     gen = write(
         tmp_path / "gen.json",

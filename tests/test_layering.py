@@ -2,8 +2,9 @@
 
 ``series``, ``cumulants``, ``transforms`` and ``measures`` carry the
 analytic route; every sum over partitions lives in ``oracles`` and is only
-ever called by the tests and ``cfreeconv verify``.  The check reads the
-sources, so an import hidden inside a function counts too.
+ever called by the tests and ``cfreeconv verify``, so within the package
+only ``__init__`` and ``verify`` import it.  The check reads the sources, so
+an import hidden inside a function counts too.
 """
 import ast
 from pathlib import Path
@@ -44,6 +45,15 @@ def top_level_functions(path):
 def test_production_module_imports_no_oracles(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert package_imports(tree) & FORBIDDEN == set()
+
+
+def test_only_init_and_verify_import_oracles():
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if "oracles" in package_imports(ast.parse(path.read_text()))
+    }
+    assert importers <= {"__init__", "verify"}
 
 
 @pytest.mark.parametrize("module", PRODUCTION)

@@ -30,7 +30,7 @@ from cfreeconv.measures import (
 )
 from cfreeconv.oracles import product_psi_cumulants
 from cfreeconv.series import ComplexRational, TruncatedSeries
-from cfreeconv.transforms import b_series, sigma_series
+from cfreeconv.transforms import sigma_series
 
 
 def q(re, im=0):
@@ -321,23 +321,6 @@ def test_idiv_measures_from_trivial_generators():
     assert abs(first - math.exp(-float(s))) < 1e-14
 
 
-def test_idiv_boolean_roots_recombine():
-    g = IdGenerator(
-        cmath.exp(-0.2j),
-        CircleMeasure.atomic(
-            [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 4), Fraction(1, 10))],
-            probability=False,
-        ),
-    )
-    whole = b_series(idiv_boolean_measure(g, 6).moment_series(6, "approx"))
-    for n in (2, 3, 5):
-        root = b_series(
-            idiv_boolean_measure(g.scaled(Fraction(1, n)), 6).moment_series(6, "approx")
-        )
-        recombined = root.pow_int(n)
-        assert max(abs(x - y) for x, y in zip(whole.coeffs, recombined.coeffs)) < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # Semigroups
 # ---------------------------------------------------------------------------
@@ -470,19 +453,3 @@ def test_toeplitz_gate_examples():
     assert ok and abs(smallest - 1) < 1e-12
     bad, smallest = toeplitz_psd_check([2, 0, 0, 0])
     assert not bad and smallest < -1e-3
-
-
-def test_convolution_outputs_pass_the_gate():
-    rng = random.Random(79)
-    for _ in range(8):
-        a = random_invertible_atomic(rng, TWELFTH)
-        b = random_invertible_atomic(rng, TWELFTH)
-        for out in (
-            boolean_convolve(a, b, 6),
-            free_multiplicative_convolve(a, b, 6),
-            cfree_multiplicative_convolve(
-                MeasurePair(a, b), MeasurePair(b, a), 6
-            ).mu,
-        ):
-            ok, smallest = toeplitz_psd_check(moments_of(out, 6), tolerance=1e-7)
-            assert ok, smallest
