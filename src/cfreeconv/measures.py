@@ -20,8 +20,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy
-
 from .errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
 from .series import ComplexRational, TruncatedSeries, _coerce, _one
 from .transforms import (
@@ -30,7 +28,6 @@ from .transforms import (
     b_series,
     eta,
     moments_from_t,
-    sigma_series,
     t_transform,
 )
 
@@ -545,11 +542,15 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
     """Compare pair products with boolean products along a triangular array.
 
     Row n carries n identical factors (1 - s/n) delta_1 + (s/n) delta_omega,
-    used as both laws of each pair.  For every row the report holds the
+    used as both laws of each pair.  By multiplicativity the n-fold pair
+    product has the n-th powers of the factor's t- and ct-series, and the
+    n-fold boolean product the n-th power of its b-series, so a row costs
+    O(log n) series products.  For every row the report holds the
     coefficientwise gap between the sigma-series of the n-fold pair product
     and the b-series of the n-fold boolean product, the rotation constant
     gamma_n, the spread moments sigma_n, and a generator fitted from the
-    last row's boolean product.
+    last row's boolean product.  A factor with vanishing first moment
+    (s/n = 1/2 at half a turn) has no t-series, so its row is refused.
     """
     s = Fraction(s)
     omega_turns = Fraction(omega_turns)
@@ -564,21 +565,16 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
     for n in n_list:
         weight = s / Fraction(n)
         factor = CircleMeasure.atomic([(0, 1 - weight), (omega_turns, weight)])
-        pair = MeasurePair(factor, factor)
-        pair_product = pair
-        boolean_product = factor
-        for _ in range(n - 1):
-            pair_product = cfree_multiplicative_convolve(
-                pair_product, pair, order + 1, mode="approx"
+        if not factor.moment_series(1).coeffs[1]:
+            raise UnsupportedDomainError(
+                f"row n={n}: the factor's first moment vanishes, so it has no t-series"
             )
-            boolean_product = boolean_convolve(
-                boolean_product, factor, order + 1, mode="approx"
-            )
-        pair_sigma = sigma_series(
-            pair_product.mu.moment_series(order + 1, "approx"),
-            pair_product.nu.moment_series(order + 1, "approx"),
-        )
-        boolean_b = b_series(boolean_product.moment_series(order + 1, "approx"))
+        m = factor.moment_series(order + 1, "approx")
+        pair_product = TransformBundle.from_moments(m, m).power(n)
+        boolean_b = b_series(m).pow_int(n)
+        for moments in (pair_product.M, pair_product.m, _moments_from_eta(boolean_b.shift_up())):
+            _computed_law(moments.coeffs[1:])  # the moment bound on each n-fold law
+        pair_sigma = pair_product.Sigma
         for j in range(order + 1):
             rows.append(
                 {"n": n, "j": j, "gap": abs(pair_sigma.coeffs[j] - boolean_b.coeffs[j])}
@@ -616,6 +612,8 @@ def toeplitz_psd_check(moments, tolerance=1e-9):
     with m_{-n} the conjugate of m_n, and reports whether its smallest
     eigenvalue clears -tolerance, together with that eigenvalue.
     """
+    import numpy  # only this gate needs it; importing the package stays light
+
     values = [1 + 0j] + [_as_complex(v) for v in moments]
     size = len(moments) // 2 + 1
     matrix = numpy.empty((size, size), dtype=complex)

@@ -61,12 +61,6 @@ class SetPartition:
         self.n = n
         self.blocks = tuple(canon)
 
-    def block_containing(self, e):
-        for b in self.blocks:
-            if e in b:
-                return b
-        raise ArgumentError(f"{e} is not in the ground set")
-
     def __len__(self):
         return len(self.blocks)
 
@@ -220,7 +214,7 @@ def enumerate_nc(n):
 
 
 # ---------------------------------------------------------------------------
-# Kreweras complement, join, doubling, juxtaposition
+# Kreweras complement, join, doubling
 # ---------------------------------------------------------------------------
 
 def kreweras(p):
@@ -320,14 +314,6 @@ def undouble(p):
             halves.add(k)
         blocks.append(tuple(sorted(halves)))
     return NCPartition(p.n // 2, tuple(blocks))
-
-
-def juxtapose(p, q):
-    """Place q to the right of p on a ground set of combined size."""
-    blocks = p.blocks + _shift(q.blocks, p.n)
-    if isinstance(p, NCLinkedPartition) or isinstance(q, NCLinkedPartition):
-        return NCLinkedPartition(p.n + q.n, blocks)
-    return NCPartition(p.n + q.n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -599,29 +585,6 @@ def ncl_classify(g):
     singly = frozenset(e for e, c in g.cover_count.items() if c == 1)
     doubly = frozenset(e for e, c in g.cover_count.items() if c == 2)
     return tuple(ext), tuple(intr), singly, doubly
-
-
-def restrict(g, members):
-    """Restrict a linked partition to a subset and relabel order-preservingly.
-
-    Blocks are intersected with ``members``; empty intersections and blocks
-    swallowed by a larger surviving block are dropped.  Raises if the result
-    is not a valid linked partition of the relabeled ground set.
-    """
-    members = sorted(set(members))
-    if not members or members[0] < 1 or members[-1] > g.n:
-        raise ArgumentError("members must be a nonempty subset of the ground set")
-    pos = {e: i + 1 for i, e in enumerate(members)}
-    cut = []
-    for b in g.blocks:
-        bb = tuple(pos[e] for e in b if e in pos)
-        if bb:
-            cut.append(bb)
-    unique = list(dict.fromkeys(cut))
-    blocks = [
-        b for b in unique if not any(d != b and set(b) <= set(d) for d in unique)
-    ]
-    return NCLinkedPartition(len(members), blocks)
 
 
 def partition_from_json(data, kind="nc"):

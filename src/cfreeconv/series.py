@@ -246,11 +246,17 @@ class TruncatedSeries:
         return TruncatedSeries([s * c for c in self.coeffs], self.mode)
 
     def pow_int(self, k):
+        """self**k by square-and-multiply: O(log k) products."""
         if not isinstance(k, int) or k < 0:
             raise ArgumentError("pow_int takes a nonnegative integer")
         out = TruncatedSeries.constant(_one(self.mode), self.order, self.mode)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- structural ops ------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 
-from .cumulants import OneStateData, TwoStateData
+from .cumulants import cfree_cumulants_from_moments, free_cumulants_from_moments
 from .errors import ArgumentError, DomainError, NumericalError
 from .series import TruncatedSeries, _one, _zero
 
@@ -48,43 +48,33 @@ def t_transform(m):
     return b_series(m).compose(m.invert_composition())
 
 
-def ct_transform(M, psi):
+def ct_transform(M, m):
     """b(M) o m^-1, the shifted phi-side cumulant series; order drops by 1."""
-    m = psi.moments if isinstance(psi, OneStateData) else psi
     _vanishing_invertible(m, "a psi-moment series")
     if M.order != m.order or M.mode != m.mode:
         raise ArgumentError("phi and psi series must share order and mode")
     return b_series(M).compose(m.invert_composition())
 
 
-def moments_from_t(t, n=None):
-    """Rebuild psi-moments from t as the inverse of u/(t(u)(1+u)).
+def moments_from_t(t):
+    """Rebuild psi-moments 1..order+1 from t as the inverse of u/(t(u)(1+u)).
 
-    ``n`` moments are produced (default, and maximum, one more than the
-    order of t).  A t-series with t_0 = 0 forces m_1 = 0 and, through
-    m/z = t(m)(1+m), every later moment to zero as well.
+    A t-series with t_0 = 0 forces m_1 = 0 and, through m/z = t(m)(1+m),
+    every later moment to zero as well.
     """
-    if n is None:
-        n = t.order + 1
-    if not 1 <= n <= t.order + 1:
-        raise ArgumentError("the t coefficients determine moments 1..order+1")
     if not t.coeffs[0]:
-        return TruncatedSeries.zero(n, t.mode)
+        return TruncatedSeries.zero(t.order + 1, t.mode)
     t_one_plus_u = t + t.shift_up().truncate(t.order)
-    return t_one_plus_u.reciprocal().shift_up().invert_composition().truncate(n)
+    return t_one_plus_u.reciprocal().shift_up().invert_composition()
 
 
-def phi_moments_from_ct(ct, m, n=None):
-    """Rebuild phi-moments from ct and the psi-moments as zc/(1-zc), c = ct o m."""
-    if n is None:
-        n = ct.order + 1
-    if not 1 <= n <= ct.order + 1:
-        raise ArgumentError("the ct coefficients determine moments 1..order+1")
+def phi_moments_from_ct(ct, m):
+    """Rebuild phi-moments 1..order+1 from ct and the psi-moments as zc/(1-zc), c = ct o m."""
     if m.order < ct.order or m.mode != ct.mode:
         raise ArgumentError("psi-moments must reach the order of ct, same mode")
     if m.coeffs[0]:
         raise ArgumentError("a psi-moment series must have a vanishing constant term")
-    return _moments_from_eta(ct.compose(m).shift_up()).truncate(n)
+    return _moments_from_eta(ct.compose(m).shift_up())
 
 
 def eta(m):
@@ -145,42 +135,38 @@ def _sigma_from_ct(ct, M, m):
 class TransformBundle:
     """Every derived transform of one two-state law, computed lazily.
 
-    ``m``/``M``/``R``/``cR``/``eta`` carry the moment-data order; the
-    shifted series ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below,
-    since the top coefficient of a shifted composition is not determined
-    by the data.  ``T``, ``cT`` and ``Sigma`` share one reversion of ``m``
-    (``Sigma`` adds one of ``eta``), and nothing but ``R`` and ``cR``
-    themselves reads the cumulants.
+    A bundle holds the phi-moments ``M`` and psi-moments ``m``.  ``R``,
+    ``cR`` and ``eta`` carry the moment-data order; the shifted series
+    ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below, since the top
+    coefficient of a shifted composition is not determined by the data.
+    ``T``, ``cT`` and ``Sigma`` share one reversion of ``m`` (``Sigma`` adds
+    one of ``eta``), and only ``R`` and ``cR`` compute cumulants.
     ``multiply`` is the multiplicative convolution of laws: both shifted
     cumulant series multiply coefficientwise and the moments are rebuilt
-    from the product.
+    from the product.  ``power`` is the n-fold product of a law with
+    itself, by raising both series to the n-th power.
     """
 
-    def __init__(self, data):
-        if not isinstance(data, TwoStateData):
-            raise ArgumentError("expected TwoStateData")
-        _vanishing_invertible(data.psi.moments, "the psi-moment series")
-        self.data = data
+    def __init__(self, M, m):
+        if M.order != m.order or M.mode != m.mode:
+            raise ArgumentError("phi and psi series must share order and mode")
+        if M.coeffs[0]:
+            raise ArgumentError("the phi-moment series must have a vanishing constant term")
+        _vanishing_invertible(m, "the psi-moment series")
+        self.M = M
+        self.m = m
 
     @classmethod
     def from_moments(cls, M, m):
-        return cls(TwoStateData.from_moments(M, m))
+        return cls(M, m)
 
-    @property
-    def m(self):
-        return self.data.psi.moments
-
-    @property
-    def M(self):
-        return self.data.phi_moments
-
-    @property
+    @functools.cached_property
     def R(self):
-        return self.data.psi.free_cumulants
+        return free_cumulants_from_moments(self.m)
 
-    @property
+    @functools.cached_property
     def cR(self):
-        return self.data.cfree_cumulants
+        return cfree_cumulants_from_moments(self.M, self.m)
 
     @functools.cached_property
     def _m_inverse(self):
@@ -208,18 +194,25 @@ class TransformBundle:
 
     @property
     def order(self):
-        return self.data.order
+        return self.m.order
 
     @property
     def mode(self):
-        return self.data.mode
+        return self.m.mode
 
     def multiply(self, other):
-        t = self.T * other.T
-        ct = self.cT * other.cT
+        return self._from_transforms(self.T * other.T, self.cT * other.cT)
+
+    def power(self, n):
+        """The n-fold product of this law with itself, for n >= 1."""
+        if not isinstance(n, int) or n < 1:
+            raise ArgumentError("power takes a positive integer")
+        return self._from_transforms(self.T.pow_int(n), self.cT.pow_int(n))
+
+    @staticmethod
+    def _from_transforms(t, ct):
         m = moments_from_t(t)
-        M = phi_moments_from_ct(ct, m)
-        return TransformBundle.from_moments(M, m)
+        return TransformBundle(phi_moments_from_ct(ct, m), m)
 
     def __repr__(self):
         return f"TransformBundle(order={self.order}, mode={self.mode!r})"

@@ -377,6 +377,24 @@ def test_criterion_7_limit_experiment_trend():
     )
 
 
+def test_limit_experiment_by_powers_reaches_the_derived_constant():
+    # Rows cost O(log n) series products, so the rate is visible far out:
+    # n = 2, 4, ..., 4096.  Richardson over the last three sizes must land on
+    # |P_j| (measured: 1.1e-9 relative at worst), and n * gap must approach
+    # it strictly at every step.
+    s, omega_turns, order = Fraction(1, 2), Fraction(1, 4), 4
+    sizes = tuple(2 ** k for k in range(1, 13))
+    report = limit_experiment(s, omega_turns, sizes, order)
+    gap = {(row["n"], row["j"]): row["gap"] for row in report["rows"]}
+    derived = [abs(c) for c in limit_gap_constant(s, omega_turns, order)]
+    for j in range(1, order + 1):
+        scaled = {n: n * gap[n, j] for n in sizes}
+        limit = (8 * scaled[4096] - 6 * scaled[2048] + scaled[1024]) / 3
+        assert abs(limit - derived[j]) <= 1e-6 * derived[j], (j, limit, derived[j])
+        distance = [abs(scaled[n] - derived[j]) for n in sizes]
+        assert all(a > b for a, b in zip(distance, distance[1:])), (j, distance)
+
+
 def test_criterion_8_toeplitz_gate():
     corpus = [
         CircleMeasure.atomic([(0, Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 4))]),

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,26 @@ def test_limit_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert report.read_text() == first
+
+
+def test_limit_with_vanishing_first_moment_exits_2(tmp_path, capsys):
+    # s/n = 1/2 at half a turn: the factor's first moment is exactly zero
+    argv = ["limit", "--s", "1/2", "--omega", "1/2", "--n-list", "1", "--order", "3",
+            "--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: row n=1: the factor's first moment vanishes")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, cfreeconv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

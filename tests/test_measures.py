@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfreeconv import measures
 from cfreeconv.cumulants import free_cumulants_from_moments
 from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
 from cfreeconv.measures import (
@@ -439,6 +440,23 @@ def test_limit_experiment_trend():
     assert abs(fit["gamma"] - cmath.exp(1j * s)) < 0.05
     assert abs(fit["sigma_moments"][0] - s) < 0.05
     assert abs(fit["sigma_moments"][1] - s * 1j) < 0.05
+
+
+def test_limit_experiment_forms_no_convolution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the limit experiment convolved")
+
+    for name in ("cfree_multiplicative_convolve", "boolean_convolve"):
+        monkeypatch.setattr(measures, name, refuse)
+    report = limit_experiment(Fraction(1, 2), Fraction(1, 4), (4, 8, 16), 3)
+    assert len(report["rows"]) == 12
+
+
+@pytest.mark.parametrize("s, n", [(Fraction(1, 2), 1), (2, 4), (8, 16)])
+def test_limit_experiment_refuses_a_vanishing_first_moment(s, n):
+    # (1 - s/n) delta_1 + (s/n) delta_{1/2} has m_1 = 1 - 2s/n = 0
+    with pytest.raises(UnsupportedDomainError, match="first moment vanishes"):
+        limit_experiment(s, Fraction(1, 2), (n,), 3)
 
 
 # ---------------------------------------------------------------------------

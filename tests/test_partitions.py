@@ -16,14 +16,12 @@ from cfreeconv.partitions import (
     enumerate_ncl,
     group_nc_s_by_join,
     is_noncrossing,
-    juxtapose,
     kreweras,
     nc_join,
     ncl_classify,
     one_block,
     pair_singletons_doubled,
     partition_from_json,
-    restrict,
     singletons,
     undouble,
 )
@@ -32,7 +30,6 @@ from cfreeconv.partitions import (
 def test_setpartition_canonical_and_validation():
     p = SetPartition(4, [[3, 2], [4], [1]])
     assert p.blocks == ((1,), (2, 3), (4,))
-    assert p.block_containing(3) == (2, 3)
     with pytest.raises(ArgumentError):
         SetPartition(3, [[1, 2]])
     with pytest.raises(ArgumentError):
@@ -101,16 +98,6 @@ def test_double_and_undouble():
     for n in range(1, 7):
         for p in enumerate_nc(n):
             assert undouble(double(p)) == p  # doubling keeps non-crossing
-
-
-def test_juxtapose():
-    p = NCPartition(2, [[1, 2]])
-    q = NCPartition(2, [[1], [2]])
-    assert juxtapose(p, q).blocks == ((1, 2), (3,), (4,))
-    g = NCLinkedPartition(3, [[1, 2], [2, 3]])
-    j = juxtapose(g, g)
-    assert isinstance(j, NCLinkedPartition)
-    assert j.blocks == ((1, 2), (2, 3), (4, 5), (5, 6))
 
 
 def test_nc_s_counts_and_membership():
@@ -201,31 +188,6 @@ def test_ncl_classify_single_exterior_example():
     ext, intr, _, _ = ncl_classify(g)
     assert ext == ((1, 4, 5, 9),)
     assert len(intr) == 4
-
-
-def test_restrict():
-    g = NCLinkedPartition(3, [[1, 2], [2, 3]])
-    r = restrict(g, [2, 3])
-    assert r.blocks == ((1, 2),)
-    nc = NCPartition(6, [[1, 6], [2, 3], [4, 5]])
-    gnc = NCLinkedPartition(6, nc.blocks)
-    r2 = restrict(gnc, [2, 3, 4, 5])
-    assert r2.blocks == ((1, 2), (3, 4))
-    with pytest.raises(ArgumentError):
-        restrict(g, [0, 1])
-
-
-def test_restrict_of_plain_nc_stays_nc():
-    rng = random.Random(5)
-    for n in range(2, 7):
-        pool = enumerate_nc(n)
-        for _ in range(30):
-            p = rng.choice(pool)
-            members = [e for e in range(1, n + 1) if rng.random() < 0.6]
-            if not members:
-                continue
-            r = restrict(NCLinkedPartition(p.n, p.blocks), members)
-            assert is_noncrossing(r.blocks)
 
 
 def test_partition_json_roundtrip():

@@ -177,4 +177,9 @@ def test_series_json_roundtrip():
 def test_scale_and_pow():
     s = TruncatedSeries.exact([1, 1], order=3)
     assert s.pow_int(2).coeffs[:3] == (q(1), q(2), q(1))
+    f = TruncatedSeries.exact([q(2, -1), q(Fraction(1, 3)), 0, q(-1, 2), q(0, Fraction(5, 7))])
+    product = TruncatedSeries.constant(1, f.order, "exact")
+    for k in range(10):
+        assert f.pow_int(k) == product
+        product = product * f
     assert s.scale(q(0, 1)).coeffs[0] == q(0, 1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfreeconv import cumulants
+from cfreeconv import transforms
 from cfreeconv.cumulants import (
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
@@ -72,21 +72,9 @@ def test_moment_recurrence_witnesses():
 
 
 def test_moment_count_requests():
-    rng = random.Random(59)
-    t = random_headed(rng, 5)
-    short = moments_from_t(t, n=3)
-    assert short.order == 3 and short == moments_from_t(t).truncate(3)
-    ct = random_headed(rng, 5)
-    m = moments_from_t(t)
-    shorter = phi_moments_from_ct(ct, m, n=2)
-    assert shorter == phi_moments_from_ct(ct, m).truncate(2)
-    with pytest.raises(ArgumentError):
-        moments_from_t(t, n=7)
-    with pytest.raises(ArgumentError):
-        phi_moments_from_ct(ct, m, n=0)
     headless = TruncatedSeries.exact([0, 2, 3, 5, 7, 1])  # t_0 = 0 forces every moment to 0
     assert moments_from_t(headless) == TruncatedSeries.zero(6, "exact")
-    assert moments_from_t(headless, n=3) == TruncatedSeries.zero(3, "exact")
+    assert moments_from_t(headless.to_approx()) == TruncatedSeries.zero(6, "approx")
 
 
 def test_sigma_runs_in_approx_mode():
@@ -144,17 +132,30 @@ def test_bundle_fields_match_free_functions(monkeypatch):
     bundle = TransformBundle.from_moments(M, m)
     with monkeypatch.context() as patch:  # a product never reads R or cR
         for name in ("free_cumulants_from_moments", "cfree_cumulants_from_moments"):
-            patch.setattr(cumulants, name, None)
+            patch.setattr(transforms, name, None)
         bundle.multiply(bundle)
+        bundle.power(3)
     assert bundle.T == t_transform(m)
     assert bundle.cT == ct_transform(M, m)
     assert bundle.eta == eta(m)
     assert bundle.B == b_series(M)
     assert bundle.Sigma == sigma_series(M, m)
     assert bundle.m == m and bundle.M == M
-    assert bundle.R == bundle.data.psi.free_cumulants
-    assert bundle.cR == bundle.data.cfree_cumulants
+    assert bundle.R == free_cumulants_from_moments(m)
+    assert bundle.cR == cfree_cumulants_from_moments(M, m)
     assert bundle.order == 6 and bundle.mode == "exact"
+
+
+def test_bundle_power_is_repeated_multiply():
+    rng = random.Random(61)
+    bundle = TransformBundle(random_vanishing(rng, 5), random_vanishing(rng, 5, c1_nonzero=True))
+    product = bundle
+    for k in range(1, 5):
+        power = bundle.power(k)
+        assert power.m == product.m and power.M == product.M
+        product = product.multiply(bundle)
+    with pytest.raises(ArgumentError):
+        bundle.power(0)
 
 
 def test_bundle_reverts_twice_for_t_ct_and_sigma(monkeypatch):
