@@ -26,8 +26,6 @@ from .partitions import (
 )
 from .series import ComplexRational, TruncatedSeries
 from .cumulants import (
-    OneStateData,
-    TwoStateData,
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -48,7 +46,6 @@ from .measures import (
     IdGenerator,
     MeasurePair,
     boolean_convolve,
-    center_array,
     cfree_multiplicative_convolve,
     free_multiplicative_convolve,
     herglotz_exp,
@@ -65,6 +62,9 @@ from .oracles import (
     product_psi_cumulants,
 )
 
+# The former two-state law class, kept as a name for callers that build laws through it.
+TwoStateData = TransformBundle
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -78,17 +78,14 @@ __all__ = [
     "NCLinkedPartition",
     "NCPartition",
     "NumericalError",
-    "OneStateData",
     "ResourceLimitError",
     "SetPartition",
     "TransformBundle",
     "TruncatedSeries",
-    "TwoStateData",
     "UnsupportedDomainError",
     "b_series",
     "boolean_convolve",
     "boxed_convolution",
-    "center_array",
     "cf_weight",
     "cfree_cumulants_from_moments",
     "cfree_multiplicative_convolve",

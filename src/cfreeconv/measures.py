@@ -269,17 +269,6 @@ class IdGenerator:
         return f"IdGenerator(gamma={self.gamma!r}, sigma={self.sigma!r})"
 
 
-class CenteredArrayRow:
-    """Rotation constants, recentered laws, and kernel series for one row."""
-
-    __slots__ = ("b", "centered", "h")
-
-    def __init__(self, b, centered, h):
-        self.b = b
-        self.centered = centered
-        self.h = h
-
-
 # ---------------------------------------------------------------------------
 # Series exponentials (double precision only)
 # ---------------------------------------------------------------------------
@@ -404,15 +393,11 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
             "a uniform psi-law only convolves with another uniform psi-law"
         )
     mode = _pick_mode(mode, p1.mu, p1.nu, p2.mu, p2.nu)
-    bundles = []
-    for p in (p1, p2):
-        m = p.nu.moment_series(order, mode)
-        if not m.coeffs[1]:
-            raise UnsupportedDomainError(
-                "psi-laws need an invertible first moment for the transform route"
-            )
-        bundles.append(TransformBundle.from_moments(p.mu.moment_series(order, mode), m))
-    product = bundles[0].multiply(bundles[1])
+    x, y = (
+        TransformBundle.from_moments(p.mu.moment_series(order, mode), p.nu.moment_series(order, mode))
+        for p in (p1, p2)
+    )
+    product = x.multiply(y)
     return MeasurePair(
         _computed_law(product.M.coeffs[1:]),
         _computed_law(product.m.coeffs[1:]),
@@ -525,17 +510,6 @@ def _center_one(measure, order):
             h[k] += 2 * deficit * power
     h[0] += -1j * imag_part
     return rotation, centered, TruncatedSeries.approx(h)
-
-
-def center_array(row, order=8):
-    """Center each law in a row: rotations b, pulled-back laws, h-series."""
-    rotations, centered, kernels = [], [], []
-    for measure in row:
-        rotation, recentered, h = _center_one(measure, order)
-        rotations.append(cmath.exp(1j * math.tau * float(rotation)))
-        centered.append(recentered)
-        kernels.append(h)
-    return CenteredArrayRow(rotations, centered, kernels)
 
 
 def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):

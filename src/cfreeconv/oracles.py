@@ -313,9 +313,9 @@ def psi_moments_via_linked_blocks(t, n_max=None):
 def kappa(p, letters):
     """Blockwise free-cumulant product; zero unless each block is one letter.
 
-    ``letters`` assigns a OneStateData to each ground-set element; lookup is
-    by object identity, so distinct objects are distinct letters even if
-    their series coincide.
+    ``letters`` assigns a law (a :class:`transforms.TransformBundle`) to each
+    ground-set element; lookup is by object identity, so distinct objects are
+    distinct letters even if their series coincide.
     """
     if len(letters) != p.n:
         raise ArgumentError("need one letter per element")
@@ -324,7 +324,7 @@ def kappa(p, letters):
         owner = letters[b[0] - 1]
         if any(letters[e - 1] is not owner for e in b):
             return _zero(owner.mode)
-        w = owner.cumulant(len(b))
+        w = owner.R.coefficient(len(b))
         out = w if out is None else out * w
     return out
 
@@ -332,7 +332,7 @@ def kappa(p, letters):
 def Kappa(p, letters):
     """Like :func:`kappa` with phi-side cumulants on exterior blocks.
 
-    ``letters`` holds TwoStateData; interior blocks read the psi cumulants.
+    Interior blocks read the psi cumulants ``R``, exterior ones ``cR``.
     """
     if len(letters) != p.n:
         raise ArgumentError("need one letter per element")
@@ -343,9 +343,9 @@ def Kappa(p, letters):
         if any(letters[e - 1] is not owner for e in b):
             return _zero(owner.mode)
         if idx in ext:
-            w = owner.cfree_cumulant(len(b))
+            w = owner.cR.coefficient(len(b))
         else:
-            w = owner.psi.cumulant(len(b))
+            w = owner.R.coefficient(len(b))
         out = w if out is None else out * w
     return out
 
@@ -385,10 +385,7 @@ def product_phi_cumulants(x, y, n):
     Same coupled-family sum as :func:`product_psi_cumulants`, with the two
     exterior blocks (containing 1 and 2n) read in the phi families.
     """
-    return _coupled_family_sum(
-        x.cfree_cumulants, x.psi.free_cumulants,
-        y.cfree_cumulants, y.psi.free_cumulants, n,
-    )
+    return _coupled_family_sum(x.cR, x.R, y.cR, y.R, n)
 
 
 def cfree_product_cumulant_series(x, y, order=None):
@@ -403,7 +400,7 @@ def cfree_product_cumulant_series(x, y, order=None):
 
     Needs both first psi-cumulants invertible.
     """
-    r_x, r_y = x.psi.free_cumulants, y.psi.free_cumulants
+    r_x, r_y = x.R, y.R
     if not r_x.coeffs[1] or not r_y.coeffs[1]:
         raise DomainError("product formula needs nonzero first psi-cumulants")
     if order is None:
@@ -416,8 +413,8 @@ def cfree_product_cumulant_series(x, y, order=None):
     inner_y = boxed_convolution_checked(r_y, r_x).scale(
         _one(x.mode) / r_y.coeffs[1]
     )
-    lhs = x.cfree_cumulants.shift_down().compose(inner_x.truncate(x.order - 1))
-    rhs = y.cfree_cumulants.shift_down().compose(inner_y.truncate(y.order - 1))
+    lhs = x.cR.shift_down().compose(inner_x.truncate(x.order - 1))
+    rhs = y.cR.shift_down().compose(inner_y.truncate(y.order - 1))
     return (lhs * rhs).truncate(order)
 
 

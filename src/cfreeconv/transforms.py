@@ -25,35 +25,35 @@ shifted form b = eta/z, and the pair transform sigma = ct o (z/(1-z)),
 which equals b-of-the-phi-part composed with the inverse of eta-of-the-
 psi-part.  sigma is computed along both routes, and a disagreement raises
 :class:`NumericalError` instead of returning.
+
+:class:`TransformBundle` is the one law object: it holds the moments
+(M, m) of a two-state law, built ``from_moments`` or ``from_cumulants``,
+and derives every parametrisation above from them on first read.
+``t_transform``, ``ct_transform`` and ``sigma_series`` each read one field
+of a bundle.
 """
 from __future__ import annotations
 
 import functools
 
-from .cumulants import cfree_cumulants_from_moments, free_cumulants_from_moments
-from .errors import ArgumentError, DomainError, NumericalError
+from .cumulants import (
+    cfree_cumulants_from_moments,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
+    phi_moments_from_cfree_cumulants,
+)
+from .errors import ArgumentError, NumericalError, UnsupportedDomainError
 from .series import TruncatedSeries, _one, _zero
-
-
-def _vanishing_invertible(m, what):
-    if m.coeffs[0]:
-        raise ArgumentError(f"{what} must have a vanishing constant term")
-    if m.order < 1 or not m.coeffs[1]:
-        raise DomainError(f"{what} must have an invertible first coefficient")
 
 
 def t_transform(m):
     """b(m) o m^-1, the shifted psi-cumulant series; order drops by 1."""
-    _vanishing_invertible(m, "a psi-moment series")
-    return b_series(m).compose(m.invert_composition())
+    return TransformBundle(m, m).T
 
 
 def ct_transform(M, m):
     """b(M) o m^-1, the shifted phi-side cumulant series; order drops by 1."""
-    _vanishing_invertible(m, "a psi-moment series")
-    if M.order != m.order or M.mode != m.mode:
-        raise ArgumentError("phi and psi series must share order and mode")
-    return b_series(M).compose(m.invert_composition())
+    return TransformBundle(M, m).cT
 
 
 def moments_from_t(t):
@@ -104,30 +104,9 @@ def _geometric(order, mode):
 def sigma_series(M, m):
     """Pair transform of (phi-moments, psi-moments); order drops by 1.
 
-    Computed as ct o (z/(1-z)) and, independently, as b(M) composed with
-    the compositional inverse of eta(m).  The two must agree -- exactly in
-    exact mode; in approx mode to 1e-8 times the largest coefficient
-    modulus of either route (at least 1) -- and the second route is
-    returned.
+    See :attr:`TransformBundle.Sigma` for its two routes and their gate.
     """
-    return _sigma_from_ct(ct_transform(M, m), M, m)
-
-
-def _sigma_from_ct(ct, M, m):
-    """:func:`sigma_series` given ct = ct_transform(M, m), and its gate."""
-    via_ct = ct.compose(_geometric(M.order - 1, M.mode))
-    via_b = b_series(M).compose(eta(m).invert_composition())
-    if M.mode == "exact":
-        if via_ct != via_b:
-            raise NumericalError("sigma routes disagree in exact arithmetic")
-        return via_b
-    gap = max(abs(x - y) for x, y in zip(via_ct.coeffs, via_b.coeffs))
-    scale = max(1.0, *(abs(c) for c in via_ct.coeffs + via_b.coeffs))
-    if gap > 1e-8 * scale:
-        raise NumericalError(
-            f"sigma routes disagree: gap {gap:.3e} against coefficients up to {scale:.3e}"
-        )
-    return via_b
+    return TransformBundle(M, m).Sigma
 
 
 # -- bundled view --------------------------------------------------------------
@@ -135,12 +114,15 @@ def _sigma_from_ct(ct, M, m):
 class TransformBundle:
     """Every derived transform of one two-state law, computed lazily.
 
-    A bundle holds the phi-moments ``M`` and psi-moments ``m``.  ``R``,
+    A bundle holds the phi-moments ``M`` and psi-moments ``m``; a law
+    built from its cumulants keeps them as ``cR`` and ``R``.  ``R``,
     ``cR`` and ``eta`` carry the moment-data order; the shifted series
     ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below, since the top
     coefficient of a shifted composition is not determined by the data.
     ``T``, ``cT`` and ``Sigma`` share one reversion of ``m`` (``Sigma`` adds
-    one of ``eta``), and only ``R`` and ``cR`` compute cumulants.
+    one of ``eta``), and only ``R`` and ``cR`` compute cumulants.  A
+    vanishing first psi-moment is accepted, but then ``T``, ``cT`` and
+    ``Sigma`` raise :class:`UnsupportedDomainError`.
     ``multiply`` is the multiplicative convolution of laws: both shifted
     cumulant series multiply coefficientwise and the moments are rebuilt
     from the product.  ``power`` is the n-fold product of a law with
@@ -150,15 +132,24 @@ class TransformBundle:
     def __init__(self, M, m):
         if M.order != m.order or M.mode != m.mode:
             raise ArgumentError("phi and psi series must share order and mode")
+        if m.coeffs[0]:
+            raise ArgumentError("the psi-moment series must have a vanishing constant term")
         if M.coeffs[0]:
             raise ArgumentError("the phi-moment series must have a vanishing constant term")
-        _vanishing_invertible(m, "the psi-moment series")
         self.M = M
         self.m = m
 
     @classmethod
     def from_moments(cls, M, m):
         return cls(M, m)
+
+    @classmethod
+    def from_cumulants(cls, cR, R):
+        """The law with phi-side cumulants cR and psi-cumulants R, which it keeps."""
+        m = moments_from_free_cumulants(R)
+        bundle = cls(phi_moments_from_cfree_cumulants(cR, m), m)
+        bundle.R, bundle.cR = R, cR
+        return bundle
 
     @functools.cached_property
     def R(self):
@@ -170,7 +161,18 @@ class TransformBundle:
 
     @functools.cached_property
     def _m_inverse(self):
-        return self.m.invert_composition()
+        """The one reversion of m, which needs m_1 invertible.
+
+        In approx mode m_1 counts as zero up to 1e-12 times the largest
+        moment modulus (at least 1).
+        """
+        m = self.m
+        first = m.coeffs[1] if m.order >= 1 else 0
+        if m.mode == "approx" and abs(first) <= 1e-12 * max(1.0, *map(abs, m.coeffs)):
+            first = 0
+        if not first:
+            raise UnsupportedDomainError("the psi-moment series needs an invertible first moment")
+        return m.invert_composition()
 
     @functools.cached_property
     def T(self):
@@ -190,7 +192,25 @@ class TransformBundle:
 
     @functools.cached_property
     def Sigma(self):
-        return _sigma_from_ct(self.cT, self.M, self.m)
+        """cT o (z/(1-z)), checked against B composed with the inverse of eta.
+
+        The two routes must agree -- exactly in exact mode; in approx mode
+        to 1e-8 times the largest coefficient modulus of either route (at
+        least 1) -- and the second route is returned.
+        """
+        via_ct = self.cT.compose(_geometric(self.order - 1, self.mode))
+        via_b = self.B.compose(self.eta.invert_composition())
+        if self.mode == "exact":
+            if via_ct != via_b:
+                raise NumericalError("sigma routes disagree in exact arithmetic")
+            return via_b
+        gap = max(abs(x - y) for x, y in zip(via_ct.coeffs, via_b.coeffs))
+        scale = max(1.0, *(abs(c) for c in via_ct.coeffs + via_b.coeffs))
+        if gap > 1e-8 * scale:
+            raise NumericalError(
+                f"sigma routes disagree: gap {gap:.3e} against coefficients up to {scale:.3e}"
+            )
+        return via_b
 
     @property
     def order(self):

@@ -19,8 +19,6 @@ import random
 from fractions import Fraction
 
 from .cumulants import (
-    OneStateData,
-    TwoStateData,
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -218,13 +216,10 @@ def psi_round_trips(order, rng):
 
 
 def phi_round_trips(order, rng):
-    pairs = [
-        (OneStateData.from_moments(random_vanishing(rng, order)), random_vanishing(rng, order))
-        for _ in range(10)
-    ]
-    for psi, M in pairs + [(_FLAT, _FLAT_PARTNER), (_FLAT_PARTNER, _FLAT)]:
-        cr = cfree_cumulants_from_moments(M, psi)
-        _ensure(phi_moments_from_cfree_cumulants(cr, psi) == M, "M -> cR -> M")
+    pairs = [(random_vanishing(rng, order), random_vanishing(rng, order)) for _ in range(10)]
+    for m, M in pairs + [(_FLAT, _FLAT_PARTNER), (_FLAT_PARTNER, _FLAT)]:
+        cr = cfree_cumulants_from_moments(M, m)
+        _ensure(phi_moments_from_cfree_cumulants(cr, m) == M, "M -> cR -> M")
     return f"10 cases at order {order}, and m_1 = 0"
 
 
@@ -236,8 +231,7 @@ def closed_forms_vs_partition_sums(order, rng):
         m = moments_from_free_cumulants(r)
         _ensure(m == moments_from_free_cumulants_nc_sum(r), "psi closed form != partition sum")
         _ensure(
-            phi_moments_from_cfree_cumulants(cr, OneStateData(m, r))
-            == phi_moments_nc_sum(cr, r),
+            phi_moments_from_cfree_cumulants(cr, m) == phi_moments_nc_sum(cr, r),
             "phi closed form != partition sum",
         )
     return f"5 cases at order {n}"
@@ -303,13 +297,11 @@ def multiplicativity(order, rng):
         My = random_vanishing(rng, n)
         bx = TransformBundle.from_moments(Mx, mx)
         by = TransformBundle.from_moments(My, my)
-        x = TwoStateData.from_moments(Mx, mx)
-        y = TwoStateData.from_moments(My, my)
         r_xy = TruncatedSeries.exact(
-            [0] + [product_psi_cumulants(x.psi.free_cumulants, y.psi.free_cumulants, k) for k in range(1, n + 1)]
+            [0] + [product_psi_cumulants(bx.R, by.R, k) for k in range(1, n + 1)]
         )
         cr_xy = TruncatedSeries.exact(
-            [0] + [product_phi_cumulants(x, y, k) for k in range(1, n + 1)]
+            [0] + [product_phi_cumulants(bx, by, k) for k in range(1, n + 1)]
         )
         m_xy = moments_from_free_cumulants(r_xy)
         M_xy = phi_moments_from_cfree_cumulants(cr_xy, m_xy)

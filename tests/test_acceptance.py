@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from cfreeconv.cumulants import (
-    TwoStateData,
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -127,22 +126,22 @@ def test_criterion_2_exact_identity_suite():
             assert via_boxed.coeffs[k] == product_psi_cumulants(rx, ry, k)
 
     for _ in range(3):
-        x = TwoStateData.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
-        y = TwoStateData.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
+        x = TransformBundle.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
+        y = TransformBundle.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
         for n in range(1, 5):
             r_xy = TruncatedSeries.exact(
-                [0] + [product_psi_cumulants(x.psi.free_cumulants, y.psi.free_cumulants, k) for k in range(1, n + 1)]
+                [0] + [product_psi_cumulants(x.R, y.R, k) for k in range(1, n + 1)]
             )
             cr_xy = TruncatedSeries.exact(
                 [0] + [product_phi_cumulants(x, y, k) for k in range(1, n + 1)]
             )
-            xy = TwoStateData.from_cumulants(cr_xy, r_xy)
+            xy = TransformBundle.from_cumulants(cr_xy, r_xy)
             fibers = group_nc_s_by_join(2 * n)
             assert set(fibers) == set(enumerate_nc(n))
             inter = [x if i % 2 == 0 else y for i in range(2 * n)]
             for base, sigmas in fibers.items():
-                assert kappa(base, [xy.psi] * n) == sum(
-                    (kappa(s, [p.psi for p in inter]) for s in sigmas), start=q(0)
+                assert kappa(base, [xy] * n) == sum(
+                    (kappa(s, inter) for s in sigmas), start=q(0)
                 )
                 assert Kappa(base, [xy] * n) == sum(
                     (Kappa(s, inter) for s in sigmas), start=q(0)
@@ -165,22 +164,20 @@ def test_criterion_3_headline_multiplicativity():
         My = random_vanishing(rng, 5)
         bx = TransformBundle.from_moments(Mx, mx)
         by = TransformBundle.from_moments(My, my)
-        x = TwoStateData.from_moments(Mx, mx)
-        y = TwoStateData.from_moments(My, my)
         r_xy = TruncatedSeries.exact(
-            [0] + [product_psi_cumulants(x.psi.free_cumulants, y.psi.free_cumulants, k) for k in range(1, 6)]
+            [0] + [product_psi_cumulants(bx.R, by.R, k) for k in range(1, 6)]
         )
         cr_xy = TruncatedSeries.exact(
-            [0] + [product_phi_cumulants(x, y, k) for k in range(1, 6)]
+            [0] + [product_phi_cumulants(bx, by, k) for k in range(1, 6)]
         )
         m_xy = moments_from_free_cumulants(r_xy)
         M_xy = phi_moments_from_cfree_cumulants(cr_xy, m_xy)
         bxy = TransformBundle.from_moments(M_xy, m_xy)
         assert bxy.T == bx.T * by.T
         assert bxy.cT == bx.cT * by.cT
-        closed = cfree_product_cumulant_series(x, y, order=4)
+        closed = cfree_product_cumulant_series(bx, by, order=4)
         for n in range(1, 6):
-            assert closed.coeffs[n - 1] == product_phi_cumulants(x, y, n)
+            assert closed.coeffs[n - 1] == product_phi_cumulants(bx, by, n)
     print(
         "criterion 3: PASS - 25 exact pairs: t- and ct-series multiply "
         "coefficient-exactly to order 5 against the parity-sum product data; "

@@ -246,14 +246,14 @@ def test_sigma_gate_scales_with_coefficient_size(tmp_path, capsys):
 
 
 def test_sigma_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
-    true_ct = transforms.ct_transform
+    true_ct = transforms.TransformBundle.cT.func
 
-    def nudged(M, m):
-        ct = true_ct(M, m)
+    def nudged(bundle):
+        ct = true_ct(bundle)
         bump = Fraction(1, 1000) if ct.mode == "exact" else 1e-3
         return ct + TruncatedSeries.constant(bump, ct.order, ct.mode)
 
-    monkeypatch.setattr(transforms, "ct_transform", nudged)
+    monkeypatch.setattr(transforms.TransformBundle, "cT", property(nudged))
     pair = {"mu": delta("1/4"), "nu": MIX}
     mu = CircleMeasure.from_json(pair["mu"]).moment_series(6)
     nu = CircleMeasure.from_json(pair["nu"]).moment_series(6)
@@ -266,6 +266,40 @@ def test_sigma_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sigma routes disagree")
+    assert "Traceback" not in captured.err
+
+
+# The psi-law is uniform on the cube roots of 1, so m_1 vanishes but reads about
+# 1e-16 in double precision; the transform route must refuse it, not print
+# coefficients blown up by dividing through that rounding residue.
+VANISHING_M1_PAIR = {
+    "mu": {"type": "atomic", "atoms": [{"turns": "0", "weight": "1/2"}, {"turns": "1/5", "weight": "1/2"}]},
+    "nu": {
+        "type": "atomic",
+        "atoms": [{"turns": "0", "weight": "1/3"}, {"turns": "1/3", "weight": "1/3"}, {"turns": "2/3", "weight": "1/3"}],
+    },
+}
+SIXTH_TURN_PAIR = {
+    "mu": {"type": "atomic", "atoms": [{"turns": "0", "weight": "1/2"}, {"turns": "1/6", "weight": "1/2"}]},
+    "nu": {"type": "atomic", "atoms": [{"turns": "0", "weight": "3/4"}, {"turns": "1/6", "weight": "1/4"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--in", "{p}", "--what", "sigma", "--order", "4"],
+        ["transform", "--in", "{p}", "--what", "ct", "--order", "4"],
+        ["convolve", "--kind", "cfree", "--a", "{p}", "--b", "{q}", "--order", "4"],
+    ],
+    ids=["sigma", "ct", "cfree"],
+)
+def test_approx_vanishing_first_moment_exits_2(tmp_path, capsys, argv):
+    paths = {"p": write(tmp_path / "p.json", VANISHING_M1_PAIR), "q": write(tmp_path / "q.json", SIXTH_TURN_PAIR)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the psi-moment series needs an invertible first moment")
     assert "Traceback" not in captured.err
 
 

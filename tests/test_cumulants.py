@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from cfreeconv.cumulants import (
-    OneStateData,
-    TwoStateData,
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
 )
@@ -21,6 +19,7 @@ from cfreeconv.oracles import (
 )
 from cfreeconv.partitions import NCPartition, group_nc_s_by_join
 from cfreeconv.series import ComplexRational, TruncatedSeries
+from cfreeconv.transforms import TransformBundle
 from cfreeconv.verify import random_vanishing
 
 
@@ -56,32 +55,33 @@ def test_cfree_low_order_formulas():
 
 def test_kappa_mixed_blocks_vanish():
     rng = random.Random(23)
-    x = OneStateData.from_cumulants(random_vanishing(rng, 4))
-    y = OneStateData.from_cumulants(random_vanishing(rng, 4))
+    r_x, r_y = random_vanishing(rng, 4), random_vanishing(rng, 4)
+    x = TransformBundle.from_cumulants(r_x, r_x)  # one-state laws: phi = psi
+    y = TransformBundle.from_cumulants(r_y, r_y)
     p = NCPartition(4, [[1, 4], [2, 3]])
     letters = [x, y, y, x]
-    assert kappa(p, letters) == x.cumulant(2) * y.cumulant(2)
+    assert kappa(p, letters) == x.R.coeffs[2] * y.R.coeffs[2]
     assert kappa(p, [x, y, x, y]) == q(0)
     same = NCPartition(2, [[1, 2]])
-    assert kappa(same, [x, x]) == x.cumulant(2)
+    assert kappa(same, [x, x]) == x.R.coeffs[2]
 
 
 def test_Kappa_reads_exterior_in_phi():
     rng = random.Random(24)
-    x = TwoStateData.from_cumulants(random_vanishing(rng, 5), random_vanishing(rng, 5))
+    x = TransformBundle.from_cumulants(random_vanishing(rng, 5), random_vanishing(rng, 5))
     p = NCPartition(5, [[1, 5], [2, 4], [3]])
     val = Kappa(p, [x] * 5)
-    assert val == x.cfree_cumulant(2) * x.psi.cumulant(2) * x.psi.cumulant(1)
+    assert val == x.cR.coeffs[2] * x.R.coeffs[2] * x.R.coeffs[1]
 
 
 def test_product_phi_cumulants_low_order():
     rng = random.Random(26)
-    x = TwoStateData.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
-    y = TwoStateData.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
-    assert product_phi_cumulants(x, y, 1) == x.cfree_cumulant(1) * y.cfree_cumulant(1)
+    x = TransformBundle.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
+    y = TransformBundle.from_cumulants(random_vanishing(rng, 4), random_vanishing(rng, 4))
+    assert product_phi_cumulants(x, y, 1) == x.cR.coeffs[1] * y.cR.coeffs[1]
     expected2 = (
-        x.cfree_cumulant(2) * y.psi.cumulant(1) * y.cfree_cumulant(1)
-        + x.cfree_cumulant(1) * x.psi.cumulant(1) * y.cfree_cumulant(2)
+        x.cR.coeffs[2] * y.R.coeffs[1] * y.cR.coeffs[1]
+        + x.cR.coeffs[1] * x.R.coeffs[1] * y.cR.coeffs[2]
     )
     assert product_phi_cumulants(x, y, 2) == expected2
 
@@ -90,28 +90,28 @@ def test_fiber_decomposition_of_product_partition_weights():
     """Blockwise product weights of a product law split over join fibers."""
     rng = random.Random(27)
     for _ in range(8):
-        x = TwoStateData.from_cumulants(
+        x = TransformBundle.from_cumulants(
             random_vanishing(rng, 4), random_vanishing(rng, 4)
         )
-        y = TwoStateData.from_cumulants(
+        y = TransformBundle.from_cumulants(
             random_vanishing(rng, 4), random_vanishing(rng, 4)
         )
         for n in range(1, 5):
             r_xy = TruncatedSeries.exact(
-                [0] + [product_psi_cumulants(x.psi.free_cumulants, y.psi.free_cumulants, k) for k in range(1, n + 1)],
+                [0] + [product_psi_cumulants(x.R, y.R, k) for k in range(1, n + 1)],
                 order=n,
             )
             cr_xy = TruncatedSeries.exact(
                 [0] + [product_phi_cumulants(x, y, k) for k in range(1, n + 1)],
                 order=n,
             )
-            xy = TwoStateData.from_cumulants(cr_xy, r_xy)
+            xy = TransformBundle.from_cumulants(cr_xy, r_xy)
             fibers = group_nc_s_by_join(2 * n)
             inter = [x if i % 2 == 0 else y for i in range(2 * n)]
             for base, sigmas in fibers.items():
-                lhs_free = kappa(base, [xy.psi] * n)
+                lhs_free = kappa(base, [xy] * n)
                 rhs_free = sum(
-                    (kappa(s, [p.psi for p in inter]) for s in sigmas),
+                    (kappa(s, inter) for s in sigmas),
                     start=q(0),
                 )
                 assert lhs_free == rhs_free
@@ -123,21 +123,21 @@ def test_fiber_decomposition_of_product_partition_weights():
 def test_cfree_product_cumulant_series_matches_sums():
     rng = random.Random(28)
     for _ in range(10):
-        x = TwoStateData.from_cumulants(
+        x = TransformBundle.from_cumulants(
             random_vanishing(rng, 6), random_vanishing(rng, 6, c1_nonzero=True)
         )
-        y = TwoStateData.from_cumulants(
+        y = TransformBundle.from_cumulants(
             random_vanishing(rng, 6), random_vanishing(rng, 6, c1_nonzero=True)
         )
         series = cfree_product_cumulant_series(x, y)
-        assert series.coeffs[0] == x.cfree_cumulant(1) * y.cfree_cumulant(1)
+        assert series.coeffs[0] == x.cR.coeffs[1] * y.cR.coeffs[1]
         for n in range(1, 6):
             assert series.coeffs[n - 1] == product_phi_cumulants(x, y, n)
 
 
 def test_cfree_product_formula_needs_invertible_first_cumulants():
     rng = random.Random(29)
-    x = TwoStateData.from_cumulants(
+    x = TransformBundle.from_cumulants(
         random_vanishing(rng, 3),
         TruncatedSeries.exact([0, 0, 1, 1], order=3),
     )
@@ -163,7 +163,7 @@ def test_word_cumulant_reproduces_series_cumulants():
     M = random_vanishing(rng, 6)
     oracle = _single_variable_oracle(m, M)
     r = free_cumulants_from_moments(m)
-    cr = cfree_cumulants_from_moments(M, OneStateData.from_moments(m))
+    cr = cfree_cumulants_from_moments(M, m)
     for n in range(1, 7):
         assert word_cumulant(oracle, "x" * n, "psi") == r.coeffs[n]
         assert word_cumulant(oracle, "x" * n, "phi") == cr.coeffs[n]

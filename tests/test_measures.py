@@ -10,12 +10,11 @@ from cfreeconv import measures
 from cfreeconv.cumulants import free_cumulants_from_moments
 from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
 from cfreeconv.measures import (
-    CenteredArrayRow,
     CircleMeasure,
     IdGenerator,
     MeasurePair,
+    _center_one,
     boolean_convolve,
-    center_array,
     cfree_multiplicative_convolve,
     free_multiplicative_convolve,
     herglotz_exp,
@@ -386,34 +385,37 @@ def test_semigroup_guards():
 # ---------------------------------------------------------------------------
 
 
+def rotation_constant(turns):
+    return cmath.exp(1j * math.tau * float(turns))
+
+
 def test_centering_examples():
-    row = center_array(
-        [
+    (turns0, centered0, h0), (turns1, centered1, h1), (turns2, _, h2) = (
+        _center_one(law, 4)
+        for law in (
             CircleMeasure.point_mass(0),
             CircleMeasure.point_mass(Fraction(1, 8)),
             CircleMeasure.atomic([(0, Fraction(99, 100)), (Fraction(1, 4), Fraction(1, 100))]),
-        ],
-        4,
+        )
     )
-    assert isinstance(row, CenteredArrayRow)
     unit = CircleMeasure.point_mass(0)
-    assert row.b[0] == 1 and row.centered[0] == unit
-    assert all(abs(c) < 1e-15 for c in row.h[0].coeffs)
-    assert abs(row.b[1] - cmath.exp(1j * math.tau / 8)) < 1e-15
-    assert row.centered[1] == unit
-    assert all(abs(c) < 1e-15 for c in row.h[1].coeffs)
+    assert rotation_constant(turns0) == 1 and centered0 == unit
+    assert all(abs(c) < 1e-15 for c in h0.coeffs)
+    assert abs(rotation_constant(turns1) - cmath.exp(1j * math.tau / 8)) < 1e-15
+    assert centered1 == unit
+    assert all(abs(c) < 1e-15 for c in h1.coeffs)
     eps = 0.01
-    assert row.b[2] == 1
-    assert abs(row.h[2].coeffs[0] - (eps - 1j * eps)) < 1e-15
+    assert rotation_constant(turns2) == 1
+    assert abs(h2.coeffs[0] - (eps - 1j * eps)) < 1e-15
     with pytest.raises(ArgumentError):
-        center_array([CircleMeasure.haar()], 3)
+        _center_one(CircleMeasure.haar(), 3)
 
 
 def test_centering_wide_atom_stays_out():
-    rotation = center_array([CircleMeasure.point_mass(Fraction(1, 4))], 3)
-    assert rotation.b[0] == 1
-    assert rotation.centered[0] == CircleMeasure.point_mass(Fraction(1, 4))
-    assert abs(rotation.h[0].coeffs[0] - (1 - 1j)) < 1e-15
+    turns, centered, h = _center_one(CircleMeasure.point_mass(Fraction(1, 4)), 3)
+    assert rotation_constant(turns) == 1
+    assert centered == CircleMeasure.point_mass(Fraction(1, 4))
+    assert abs(h.coeffs[0] - (1 - 1j)) < 1e-15
 
 
 def test_limit_experiment_trivial_row():

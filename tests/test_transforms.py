@@ -8,8 +8,10 @@ from cfreeconv import transforms
 from cfreeconv.cumulants import (
     cfree_cumulants_from_moments,
     free_cumulants_from_moments,
+    moments_from_free_cumulants,
+    phi_moments_from_cfree_cumulants,
 )
-from cfreeconv.errors import ArgumentError, DomainError
+from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
 from cfreeconv.oracles import (
     phi_moments_via_linked_blocks,
     psi_moments_via_linked_blocks,
@@ -123,6 +125,15 @@ def test_domain_errors():
     ct = TruncatedSeries.exact([1, 2])
     with pytest.raises(ArgumentError):
         phi_moments_via_linked_blocks(ct, t)
+    # A law built from cumulants with R_1 = 0 keeps them and has no T, cT or Sigma.
+    cR, R = TruncatedSeries.exact([0, 1, 2, 3]), TruncatedSeries.exact([0, 0, 1, 1])
+    law = TransformBundle.from_cumulants(cR, R)
+    assert law.R is R and law.cR is cR
+    assert law.m == moments_from_free_cumulants(R)
+    assert law.M == phi_moments_from_cfree_cumulants(cR, law.m)
+    for field in ("T", "cT", "Sigma"):
+        with pytest.raises(UnsupportedDomainError):
+            getattr(law, field)
 
 
 def test_bundle_fields_match_free_functions(monkeypatch):
