@@ -278,11 +278,12 @@ def series_exp(f):
     """exp of a truncated series, via n e_n = sum k f_k e_{n-k}."""
     if f.mode != "approx":
         raise ArgumentError("series exponentials run in approx mode only")
-    out = [cmath.exp(f.coeffs[0])] + [0j] * f.order
+    c = f.coeffs
+    out = [cmath.exp(c[0])] + [0j] * f.order
     for n in range(1, f.order + 1):
         acc = 0j
         for k in range(1, n + 1):
-            acc += k * f.coeffs[k] * out[n - k]
+            acc += k * c[k] * out[n - k]
         out[n] = acc / n
     return TruncatedSeries.approx(out)
 
@@ -291,14 +292,15 @@ def series_log(f):
     """Principal log of a truncated series; the constant must avoid (-inf, 0]."""
     if f.mode != "approx":
         raise ArgumentError("series logarithms run in approx mode only")
-    c0 = f.coeffs[0]
+    c = f.coeffs
+    c0 = c[0]
     if c0.imag == 0 and c0.real <= 0:
         raise DomainError("series log needs a constant term off (-inf, 0]")
     out = [cmath.log(c0)] + [0j] * f.order
     for n in range(1, f.order + 1):
-        acc = n * f.coeffs[n]
+        acc = n * c[n]
         for k in range(1, n):
-            acc -= k * out[k] * f.coeffs[n - k]
+            acc -= k * out[k] * c[n - k]
         out[n] = acc / (n * c0)
     return TruncatedSeries.approx(out)
 

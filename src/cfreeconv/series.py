@@ -1,16 +1,24 @@
 """Truncated power series over exact complex rationals or complex doubles.
 
 A series keeps coefficients c_0..c_N for a fixed truncation order N and a
-mode: ``exact`` coefficients are :class:`ComplexRational` (pairs of
-``fractions.Fraction``), ``approx`` coefficients are Python complex.  All
-series taking part in one computation share a mode; binary arithmetic also
-insists on a common order.  Operations that lose the top coefficient
-(shifting down by one power of z, composition-style transforms) return a
-series of lower order rather than padding with junk.
+mode.  An ``exact`` series holds Gaussian-integer numerators -- a list of
+real parts and a list of imaginary parts -- over one positive common
+denominator, with their common content divided out once per operation, so
+that equal series have equal integer forms.  Its ``coeffs`` tuple of
+:class:`ComplexRational` (pairs of ``fractions.Fraction``) is built only
+when a caller reads it.  A product packs each numerator list into one big
+integer (Kronecker substitution) and costs three big-integer multiplies;
+the reciprocal is Newton iteration over such products.  ``approx``
+coefficients are Python complex numbers.  All series taking part in one
+computation share a mode; binary arithmetic also insists on a common order.
+Operations that lose the top coefficient (shifting down by one power of z,
+composition-style transforms) return a series of lower order rather than
+padding with junk.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ArgumentError, DomainError
 
@@ -97,6 +105,10 @@ class ComplexRational:
         )
 
     def __hash__(self):
+        # A real value equals the int or Fraction it came from, so it hashes
+        # like one.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -130,25 +142,103 @@ def _one(mode):
     return ComplexRational(1) if mode == EXACT else 1 + 0j
 
 
+def _exact_parts(value):
+    """(re numerator, re denominator, im numerator, im denominator) of an exact scalar."""
+    if isinstance(value, ComplexRational):
+        re, im = value.re, value.im
+        return re.numerator, re.denominator, im.numerator, im.denominator
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator, 0, 1
+    raise ArgumentError(f"cannot use {value!r} as an exact scalar")
+
+
+# -- the exact kernel: lists of integers packed into one integer each ---------
+
+
+def _pack(digits, width, bias):
+    """sum_k digits[k] 2^(Bk) for B = 8*width and every |digits[k]| < 2^(B-1)."""
+    half = 1 << (8 * width - 1)
+    data = b"".join((d + half).to_bytes(width, "little") for d in digits)
+    return int.from_bytes(data, "little") - bias
+
+
+def _unpack(value, width, count, bias):
+    """The low `count` signed base-2^B digits of `value`, each below 2^(B-1) in modulus.
+
+    Adding 2^(B-1) to every digit makes each one nonnegative, so the digits
+    read off the bytes of the low count*B bits with the borrows settled.
+    """
+    size = width * count
+    data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
+
+
+def _product(a, b, c, d):
+    """Numerator lists of (a + ib)(c + id), truncated to len(a) terms.
+
+    Kronecker substitution: each list becomes one integer in base 2^B, with
+    B = bits(max|a|, |b|) + bits(max|c|, |d|) + bits(N+1) + 4 rounded up to
+    whole bytes, so no coefficient of the result reaches 2^(B-1) in modulus.
+    Three big-integer multiplies k1 = c(a+b), k2 = a(d-c), k3 = b(c+d) give
+    re = k1 - k3 and im = k1 + k2.
+    """
+    count = len(a)
+    left = max(max(a), -min(a), max(b), -min(b))
+    right = max(max(c), -min(c), max(d), -min(d))
+    width = (left.bit_length() + right.bit_length() + count.bit_length() + 4 + 7) // 8
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # 2^(B-1) per digit
+    a, b, c, d = (_pack(x, width, bias) for x in (a, b, c, d))
+    k1 = c * (a + b)
+    k2 = a * (d - c)
+    k3 = b * (c + d)
+    return _unpack(k1 - k3, width, count, bias), _unpack(k1 + k2, width, count, bias)
+
+
 class TruncatedSeries:
     """Coefficients c_0..c_order in one arithmetic mode."""
 
-    __slots__ = ("order", "mode", "coeffs")
+    __slots__ = ("order", "mode", "coeffs", "_re", "_im", "_den")
 
     def __init__(self, coeffs, mode, order=None):
         if mode not in (EXACT, APPROX):
             raise ArgumentError(f"unknown mode {mode!r}")
-        coeffs = [_coerce(c, mode) for c in coeffs]
+        if mode == EXACT:
+            coeffs = [_exact_parts(c) for c in coeffs]
+        else:
+            coeffs = [_coerce(c, mode) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
             raise ArgumentError("order must be nonnegative")
         if len(coeffs) > order + 1:
             raise ArgumentError("more coefficients than the order allows")
-        coeffs += [_zero(mode)] * (order + 1 - len(coeffs))
         self.order = order
         self.mode = mode
-        self.coeffs = tuple(coeffs)
+        pad = order + 1 - len(coeffs)
+        if mode == APPROX:
+            self.coeffs = tuple(coeffs) + (0j,) * pad
+            return
+        self.__class__ = _ExactSeries  # same slots; a __new__ would cost every approx series a call
+        # The least common denominator of reduced fractions leaves no content.
+        den = lcm(*(p[1] for p in coeffs), *(p[3] for p in coeffs))
+        self._re = [p[0] * (den // p[1]) for p in coeffs] + [0] * pad
+        self._im = [p[2] * (den // p[3]) for p in coeffs] + [0] * pad
+        self._den = den
+
+    @staticmethod
+    def _from_ints(re, im, den):
+        """The exact series sum_k (re_k + i im_k)/den z^k, content divided out."""
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+            den //= g
+        out = object.__new__(_ExactSeries)
+        out.order = len(re) - 1
+        out.mode = EXACT
+        out._re, out._im, out._den = re, im, den
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -182,13 +272,21 @@ class TruncatedSeries:
             raise ArgumentError(f"coefficient index {k} outside 0..{self.order}")
         return self.coeffs[k]
 
+    def _nonzero(self, k):
+        if self.mode == EXACT:
+            return bool(self._re[k] or self._im[k])
+        return bool(self.coeffs[k])
+
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, TruncatedSeries)
             and self.mode == other.mode
             and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        ):
+            return False
+        if self.mode == EXACT:
+            return self._den == other._den and self._re == other._re and self._im == other._im
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.mode, self.order, self.coeffs))
@@ -209,39 +307,74 @@ class TruncatedSeries:
     def truncate(self, order):
         if order > self.order:
             raise ArgumentError("cannot raise the order of a truncated series")
+        if order < 0:
+            raise ArgumentError("order must be nonnegative")
+        if order == self.order:
+            return self
+        if self.mode == EXACT:
+            return TruncatedSeries._from_ints(self._re[: order + 1], self._im[: order + 1], self._den)
         return TruncatedSeries(self.coeffs[: order + 1], self.mode, order)
+
+    def _term(self, k):
+        """c_k as a constant series of this series' order."""
+        if self.mode == EXACT:
+            pad = [0] * self.order
+            return TruncatedSeries._from_ints([self._re[k]] + pad, [self._im[k]] + pad, self._den)
+        return TruncatedSeries.constant(self.coeffs[k], self.order, self.mode)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check_binary(other)
+        if self.mode == EXACT:
+            return self._combine(other, 1)
         return TruncatedSeries(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.mode
         )
 
     def __sub__(self, other):
         self._check_binary(other)
+        if self.mode == EXACT:
+            return self._combine(other, -1)
         return TruncatedSeries(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.mode
         )
 
+    def _combine(self, other, sign):
+        """self + sign*other over the least common denominator (exact mode)."""
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, sign * (self._den // g)
+        return TruncatedSeries._from_ints(
+            [x * fa + y * fb for x, y in zip(self._re, other._re)],
+            [x * fa + y * fb for x, y in zip(self._im, other._im)],
+            self._den * fa,
+        )
+
     def __neg__(self):
+        if self.mode == EXACT:
+            return TruncatedSeries._from_ints([-x for x in self._re], [-x for x in self._im], self._den)
         return TruncatedSeries([-c for c in self.coeffs], self.mode)
 
     def __mul__(self, other):
         self._check_binary(other)
+        if self.mode == EXACT:
+            re, im = _product(self._re, self._im, other._re, other._im)
+            return TruncatedSeries._from_ints(re, im, self._den * other._den)
         n = self.order
-        out = [_zero(self.mode)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
+        left, right = self.coeffs, other.coeffs
+        out = [0j] * (n + 1)
+        for i, a in enumerate(left):
             if not a:
                 continue
             for j in range(n + 1 - i):
-                b = other.coeffs[j]
+                b = right[j]
                 if b:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, self.mode)
 
     def scale(self, scalar):
+        if self.mode == EXACT:
+            return self * TruncatedSeries.constant(scalar, self.order, EXACT)
         s = _coerce(scalar, self.mode)
         return TruncatedSeries([s * c for c in self.coeffs], self.mode)
 
@@ -263,17 +396,19 @@ class TruncatedSeries:
 
     def shift_down(self):
         """Divide by z.  Needs c_0 = 0; drops to order-1."""
-        if self.coeffs[0]:
+        if self._nonzero(0):
             raise DomainError("shift_down needs a vanishing constant term")
         if self.order < 1:
             raise ArgumentError("nothing left below order 0")
+        if self.mode == EXACT:
+            return TruncatedSeries._from_ints(self._re[1:], self._im[1:], self._den)
         return TruncatedSeries(self.coeffs[1:], self.mode, self.order - 1)
 
     def shift_up(self):
         """Multiply by z; the order grows by one."""
-        return TruncatedSeries(
-            (_zero(self.mode),) + self.coeffs, self.mode, self.order + 1
-        )
+        if self.mode == EXACT:
+            return TruncatedSeries._from_ints([0] + self._re, [0] + self._im, self._den)
+        return TruncatedSeries((0j,) + self.coeffs, self.mode, self.order + 1)
 
     def compose(self, inner):
         """self(inner(z)), truncated at the smaller of the two orders.
@@ -283,26 +418,48 @@ class TruncatedSeries:
         """
         if self.mode != inner.mode:
             raise ArgumentError("mode mismatch")
-        if inner.coeffs[0]:
+        if inner._nonzero(0):
             raise DomainError("composition needs an inner series with c_0 = 0")
         n = min(self.order, inner.order)
         f = self.truncate(n)
         g = inner.truncate(n)
-        out = TruncatedSeries.constant(f.coeffs[n], n, f.mode)
+        out = f._term(n)
         for k in range(n - 1, -1, -1):
-            out = out * g + TruncatedSeries.constant(f.coeffs[k], n, f.mode)
+            out = out * g + f._term(k)
         return out
 
     def reciprocal(self):
-        """1/self; needs an invertible constant term."""
-        a0 = self.coeffs[0]
-        if not a0:
+        """1/self; needs an invertible constant term.
+
+        Exact mode runs Newton's iteration b <- b(2 - self*b) from b = 1/c_0:
+        each step doubles the number of correct terms, so it truncates both
+        factors to that many.
+        """
+        if not self._nonzero(0):
             raise DomainError("reciprocal needs a nonzero constant term")
-        inv = [_one(self.mode) / a0]
+        if self.mode == EXACT:
+            re, im, den = self._re, self._im, self._den
+            x, y = re[0], im[0]
+            b = TruncatedSeries._from_ints([den * x], [-den * y], x * x + y * y)
+            size = 1
+            while size <= self.order:
+                size = min(2 * size, self.order + 1)
+                pad = [0] * (size - len(b._re))
+                b_re, b_im = b._re + pad, b._im + pad
+                # self*b over den*b._den; 2 - self*b over the same.
+                e_re, e_im = _product(re[:size], im[:size], b_re, b_im)
+                e_re = [2 * den * b._den - e_re[0]] + [-v for v in e_re[1:]]
+                e_im = [-v for v in e_im]
+                new_re, new_im = _product(b_re, b_im, e_re, e_im)
+                b = TruncatedSeries._from_ints(new_re, new_im, b._den * den * b._den)
+            return b
+        coeffs = self.coeffs
+        a0 = coeffs[0]
+        inv = [(1 + 0j) / a0]
         for n in range(1, self.order + 1):
-            acc = _zero(self.mode)
+            acc = 0j
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * inv[n - k]
+                acc = acc + coeffs[k] * inv[n - k]
             inv.append(-acc / a0)
         return TruncatedSeries(inv, self.mode)
 
@@ -313,13 +470,28 @@ class TruncatedSeries:
         h = z/self(z), the coefficient g_k is [z^(k-1)] h^k / k, so one
         reciprocal and the powers of h give every coefficient.
         """
-        if self.coeffs[0]:
+        if self._nonzero(0):
             raise DomainError("compositional inverse needs c_0 = 0")
-        if self.order < 1 or not self.coeffs[1]:
+        if self.order < 1 or not self._nonzero(1):
             raise DomainError("compositional inverse needs c_1 != 0")
         h = self.shift_down().reciprocal()
-        g = [_zero(self.mode)]
         power = h
+        if self.mode == EXACT:
+            # g_k = (re + i im)/dens[k], brought over one denominator at the end.
+            re, im, dens = [0], [0], [1]
+            for k in range(1, self.order + 1):
+                re.append(power._re[k - 1])
+                im.append(power._im[k - 1])
+                dens.append(power._den * k)
+                if k < self.order:
+                    power = power * h
+            den = lcm(*dens)
+            return TruncatedSeries._from_ints(
+                [r * (den // d) for r, d in zip(re, dens)],
+                [i * (den // d) for i, d in zip(im, dens)],
+                den,
+            )
+        g = [0j]
         for k in range(1, self.order + 1):
             g.append(power.coeffs[k - 1] / k)
             if k < self.order:
@@ -354,3 +526,23 @@ class TruncatedSeries:
             raise ArgumentError(f"unknown mode {mode!r}")
         return cls(coeffs, mode, data["order"])
 
+
+class _ExactSeries(TruncatedSeries):
+    """An exact series.  Its ``coeffs`` slot is filled on the first read.
+
+    Only this class has the attribute hook: CPython sends every attribute
+    read of a class that defines ``__getattr__`` through the hook, which
+    would slow the approx loops.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset.
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self._den
+        self.coeffs = tuple(
+            ComplexRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(self._re, self._im)
+        )
+        return self.coeffs

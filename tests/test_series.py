@@ -49,6 +49,14 @@ def test_complex_rational_arithmetic():
         a / q(0)
 
 
+def test_complex_rational_hash_agrees_with_eq():
+    for value in (0, 1, -3, Fraction(2, 7)):
+        assert q(value) == value
+        assert hash(q(value)) == hash(value)
+    assert len({q(1), 1}) == 1
+    assert len({q(1, 1), q(1)}) == 2
+
+
 def test_series_construction_and_mode_rules():
     s = TruncatedSeries.exact([1, 2], order=3)
     assert s.coeffs[3] == q(0)

@@ -1,0 +1,243 @@
+"""The exact series kernel against a schoolbook ComplexRational reference.
+
+Every exact op runs on integer numerators over one denominator; here each is
+compared with the plain coefficient-list formula it must reproduce, on fresh
+coefficient lists and on kernel outputs, with numerators near 2^256 and
+denominators up to 2^64 among the draws.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cfreeconv.errors import DomainError
+from cfreeconv.series import ComplexRational, TruncatedSeries
+
+# -- the reference: lists of ComplexRational, schoolbook loops ----------------
+
+ZERO = ComplexRational()
+ONE = ComplexRational(1)
+
+
+def ref_mul(a, b):
+    out = [ZERO] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def ref_pow(a, k):
+    out = [ONE] + [ZERO] * (len(a) - 1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_reciprocal(a):
+    inv = [ONE / a[0]]
+    for n in range(1, len(a)):
+        inv.append(-sum((a[k] * inv[n - k] for k in range(1, n + 1)), ZERO) / a[0])
+    return inv
+
+
+def ref_compose(f, g):
+    n = min(len(f), len(g))
+    f, g = f[:n], g[:n]
+    out = [f[-1]] + [ZERO] * (n - 1)
+    for c in reversed(f[:-1]):
+        out = ref_mul(out, g)
+        out[0] = out[0] + c
+    return out
+
+
+def ref_invert(f):
+    # Lagrange: g_k = [z^(k-1)] h^k / k with h = z/f.
+    h = ref_reciprocal(f[1:])
+    g, power = [ZERO], h
+    for k in range(1, len(f)):
+        g.append(power[k - 1] / k)
+        power = ref_mul(power, h)
+    return g
+
+
+# -- draws ---------------------------------------------------------------------
+
+BIG = 2**256
+numerators = st.one_of(
+    st.integers(-9, 9),
+    st.integers(BIG - 2**32, BIG + 2**32),
+    st.integers(-BIG - 2**32, -BIG + 2**32),
+)
+denominators = st.one_of(st.integers(1, 9), st.integers(1, 2**64))
+scalars = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda a, b, c, d: ComplexRational(Fraction(a, b), Fraction(c, d)),
+        numerators, denominators, numerators, denominators,
+    ),
+)
+# Most draws are small, so that the reference's Fractions stay cheap.
+small_scalars = st.builds(
+    lambda a, b, c, d: ComplexRational(Fraction(a, b), Fraction(c, d)),
+    st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9),
+)
+
+
+@st.composite
+def series(draw, order=None, max_order=20, elements=scalars, zeros=True):
+    """A fresh exact series, or one that the kernel itself made."""
+    if order is None:
+        order = draw(st.integers(0, max_order))
+    coeffs = draw(st.lists(elements, min_size=order + 1, max_size=order + 1))
+    if zeros:  # leading zeros; order + 1 of them make the zero series
+        lead = draw(st.sampled_from([0, 1, 2, order + 1]))
+        coeffs[:lead] = [ZERO] * min(lead, order + 1)
+    s = TruncatedSeries.exact(coeffs)
+    how = draw(st.sampled_from(["fresh", "sum", "product", "scaled"]))
+    if how == "fresh":
+        return s
+    other = TruncatedSeries.exact(draw(st.lists(elements, min_size=order + 1, max_size=order + 1)))
+    if how == "sum":  # (s + other) - other: a kernel output equal to s
+        return (s + other) - other
+    if how == "product" and other.coeffs[0]:  # (s * other) / other
+        return (s * other) * other.reciprocal()
+    return s.scale(ComplexRational(Fraction(3, 7), -2)).scale(ComplexRational(Fraction(21, 87), Fraction(14, 29)))
+
+
+def pairs(max_order=20, elements=scalars):
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.tuples(series(order=n, elements=elements), series(order=n, elements=elements))
+    )
+
+
+def agrees(result, reference):
+    """The kernel output equals the reference, and so does its rebuild."""
+    rebuilt = TruncatedSeries.exact(list(reference))
+    return result.coeffs == tuple(reference) and result == rebuilt and hash(result) == hash(rebuilt)
+
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- ops -----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(pairs())
+def test_mul(ab):
+    a, b = ab
+    assert agrees(a * b, ref_mul(a.coeffs, b.coeffs))
+
+
+@SETTINGS
+@given(pairs(), scalars)
+def test_add_sub_neg_scale(ab, s):
+    a, b = ab
+    assert agrees(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    assert agrees(a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+    assert agrees(-a, [-x for x in a.coeffs])
+    assert agrees(a.scale(s), [s * x for x in a.coeffs])
+
+
+@SETTINGS
+@given(series(), st.data())
+def test_truncate_and_shifts(a, data):
+    k = data.draw(st.integers(0, a.order))
+    assert agrees(a.truncate(k), a.coeffs[: k + 1])
+    assert agrees(a.shift_up(), (ZERO,) + a.coeffs)
+    if a.coeffs[0]:
+        with pytest.raises(DomainError):
+            a.shift_down()
+    elif a.order:
+        assert agrees(a.shift_down(), a.coeffs[1:])
+
+
+@SETTINGS
+@given(series(max_order=12), st.integers(0, 4))
+def test_pow_int(a, k):
+    assert agrees(a.pow_int(k), ref_pow(a.coeffs, k))
+
+
+@SETTINGS
+@given(series())
+def test_reciprocal(a):
+    if not a.coeffs[0]:
+        with pytest.raises(DomainError):
+            a.reciprocal()
+        return
+    assert agrees(a.reciprocal(), ref_reciprocal(a.coeffs))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(series(max_order=20, elements=small_scalars), series(max_order=20, elements=small_scalars))
+def test_compose(f, g):
+    if g.coeffs[0]:
+        with pytest.raises(DomainError):
+            f.compose(g)
+        return
+    assert agrees(f.compose(g), ref_compose(f.coeffs, g.coeffs))
+
+
+@settings(SETTINGS, max_examples=20)
+@given(pairs(max_order=10))
+def test_compose_big_numerators(fh):
+    f, h = fh
+    g = h.shift_up()
+    assert agrees(f.compose(g), ref_compose(f.coeffs, g.coeffs))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(series(max_order=19, elements=small_scalars, zeros=False))
+def test_invert_composition(h):
+    f = h.shift_up()  # c_0 = 0 and c_1 = h_0
+    if not f.coeffs[1]:
+        with pytest.raises(DomainError):
+            f.invert_composition()
+        return
+    assert agrees(f.invert_composition(), ref_invert(f.coeffs))
+
+
+@settings(SETTINGS, max_examples=20)
+@given(series(max_order=6, zeros=False))
+def test_invert_composition_big_numerators(h):
+    f = h.shift_up()
+    if f.coeffs[1]:
+        assert agrees(f.invert_composition(), ref_invert(f.coeffs))
+
+
+@SETTINGS
+@given(pairs())
+def test_eq_and_hash_agree_with_the_coefficients(ab):
+    a, b = ab
+    rebuilt = TruncatedSeries.exact(a.coeffs)
+    assert a == rebuilt and hash(a) == hash(rebuilt)
+    assert (a == b) == (a.coeffs == b.coeffs)
+
+
+# -- asymptotics: scalars built per op ------------------------------------------
+
+
+def scalars_built(monkeypatch, op):
+    """ComplexRational constructions by op(), counting the read of its coeffs."""
+    count = [0]
+    init = ComplexRational.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexRational, "__init__", counted)
+    op().coeffs
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_exact_ops_build_linearly_many_scalars(monkeypatch):
+    n = 32
+    f = TruncatedSeries.exact([ComplexRational(Fraction(k + 2, 3), Fraction(1 - k, 5)) for k in range(n + 1)])
+    g = TruncatedSeries.exact([0] + [ComplexRational(Fraction(1, k + 1), k % 3) for k in range(n)])
+    assert scalars_built(monkeypatch, lambda: f * g) <= 4 * (n + 1)
+    assert scalars_built(monkeypatch, lambda: f.compose(g)) <= 4 * (n + 1)
+    assert scalars_built(monkeypatch, g.invert_composition) <= 4 * (n + 1)
