@@ -10,11 +10,20 @@ identities as sums over non-crossing, parity-constant and linked
 partitions: moments from cumulants, the boxed convolution, the cumulants
 of a product, and moments from the t- and ct-series.  The test-suite and
 ``cfreeconv verify`` insist they agree with the closed forms in
-:mod:`cumulants` and :mod:`transforms`.  Sizes are small; clarity beats
-speed.
+:mod:`cumulants` and :mod:`transforms`.
+
+Those sums read only block sizes, so each runs over a table of distinct
+coefficient products with their partition counts, built once per size by
+enumerating and classifying every partition (:func:`_table`).  The counts
+come from enumeration, never from a closed form, so the route stays
+independent of what it checks.  The letter-dependent products
+:func:`kappa`, :func:`Kappa` and :func:`word_cumulant` still go partition
+by partition.  Sizes are small.
 """
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ArgumentError, DomainError
@@ -194,6 +203,52 @@ def ncl_block_families(n):
 
 
 # ---------------------------------------------------------------------------
+# Sums over block-size tables
+# ---------------------------------------------------------------------------
+#
+# Every partition sum below adds, over a family of partitions, one product
+# of coefficients read off the block sizes.  A table lists each distinct
+# product once, as a sorted tuple of factors (slot, k) -- coefficient k of
+# the series in family slot ``slot`` -- with the number of partitions that
+# give it.  Tables hold no coefficients: they are built once per size by
+# enumerating and classifying every partition, and then serve every input.
+
+
+def _table(monomials):
+    """Sorted (factors, count) rows from an iterable of factor lists."""
+    return tuple(sorted(Counter(tuple(sorted(f)) for f in monomials).items()))
+
+
+def _table_sum(table, families, mode):
+    """The sum over rows of count times the product of the named coefficients.
+
+    Neighbouring rows of a sorted table share a prefix of factors, so the
+    partial products of the previous row are kept and only the rest of each
+    row is multiplied out.
+    """
+    acc = _zero(mode)
+    previous = ()
+    products = [_one(mode)]  # products[i]: the product of previous[:i]
+    for factors, count in table:
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        del products[shared + 1:]
+        for slot, k in factors[shared:]:
+            products.append(products[-1] * families[slot].coefficient(k))
+        acc = acc + count * products[-1]
+        previous = factors
+    return acc
+
+
+def _table_series(tables, families, mode):
+    """The series 0, sum(tables[0]), sum(tables[1]), ..."""
+    return TruncatedSeries([_zero(mode)] + [_table_sum(t, families, mode) for t in tables], mode)
+
+
+# ---------------------------------------------------------------------------
 # Partition-indexed coefficient products and boxed convolution
 # ---------------------------------------------------------------------------
 
@@ -210,19 +265,21 @@ def cf_weight(p, f):
     return out
 
 
+@lru_cache(maxsize=None)
+def _boxed_table(n, first_singleton):
+    """Slot 0 reads the blocks of p in NC(n), slot 1 those of its complement."""
+    return _table(
+        [(0, len(b)) for b in p.blocks] + [(1, len(b)) for b in kreweras(p).blocks]
+        for p in enumerate_nc(n)
+        if not first_singleton or p.blocks[0] == (1,)
+    )
+
+
 def _boxed_sum(f, g, first_singleton):
     f._check_binary(g)
     if f.coeffs[0] or g.coeffs[0]:
         raise DomainError("boxed convolution needs vanishing constant terms")
-    out = [_zero(f.mode)]
-    for n in range(1, f.order + 1):
-        acc = _zero(f.mode)
-        for p in enumerate_nc(n):
-            if first_singleton and (1,) not in p.blocks:
-                continue
-            acc = acc + cf_weight(p, f) * cf_weight(kreweras(p), g)
-        out.append(acc)
-    return TruncatedSeries(out, f.mode)
+    return _table_series([_boxed_table(n, first_singleton) for n in range(1, f.order + 1)], (f, g), f.mode)
 
 
 def boxed_convolution(f, g):
@@ -244,20 +301,18 @@ def boxed_convolution_checked(f, g):
 # Moments as sums over non-crossing partitions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _nc_table(n):
+    """Slot 0 reads the exterior blocks of p in NC(n), slot 1 the interior ones."""
+    return _table(
+        [(0, len(p.blocks[i])) for i in p.ext_blocks] + [(1, len(p.blocks[i])) for i in p.int_blocks]
+        for p in enumerate_nc(n)
+    )
+
+
 def phi_moments_nc_sum(cr, r):
     """Phi-moment n summed over NC(n): cr on exterior blocks, r on interior."""
-    out = [_zero(r.mode)]
-    for n in range(1, r.order + 1):
-        acc = _zero(r.mode)
-        for p in enumerate_nc(n):
-            term = _one(r.mode)
-            for b in p.exterior_blocks():
-                term = term * cr.coefficient(len(b))
-            for b in p.interior_blocks():
-                term = term * r.coefficient(len(b))
-            acc = acc + term
-        out.append(acc)
-    return TruncatedSeries(out, r.mode)
+    return _table_series([_nc_table(n) for n in range(1, r.order + 1)], (cr, r), r.mode)
 
 
 def moments_from_free_cumulants_nc_sum(r):
@@ -268,6 +323,18 @@ def moments_from_free_cumulants_nc_sum(r):
 # ---------------------------------------------------------------------------
 # Moments as sums over linked non-crossing block families
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _linked_table(n):
+    """Slot 0 reads exterior linked blocks at |B|-1, slot 1 interior ones and t_0."""
+    rows = []
+    for g in enumerate_ncl(n):
+        ext, intr, _, _ = ncl_classify(g)
+        rows.append(
+            [(0, len(b) - 1) for b in ext] + [(1, len(b) - 1) for b in intr] + [(1, 0)] * (n - len(g.blocks))
+        )
+    return _table(rows)
+
 
 def phi_moments_via_linked_blocks(ct, t, n_max=None):
     """Phi-moment n over linked families: ct on exterior blocks, t inside.
@@ -283,19 +350,7 @@ def phi_moments_via_linked_blocks(ct, t, n_max=None):
         n_max = t.order + 1
     if n_max > t.order + 1:
         raise ArgumentError("n_max exceeds what the coefficients determine")
-    out = [_zero(t.mode)]
-    for n in range(1, n_max + 1):
-        acc = _zero(t.mode)
-        for g in enumerate_ncl(n):
-            ext, intr, _, _ = ncl_classify(g)
-            term = t.coeffs[0] ** (n - len(g.blocks))
-            for b in ext:
-                term = term * ct.coefficient(len(b) - 1)
-            for b in intr:
-                term = term * t.coefficient(len(b) - 1)
-            acc = acc + term
-        out.append(acc)
-    return TruncatedSeries(out, t.mode)
+    return _table_series([_linked_table(n) for n in range(1, n_max + 1)], (ct, t), t.mode)
 
 
 def psi_moments_via_linked_blocks(t, n_max=None):
@@ -350,6 +405,15 @@ def Kappa(p, letters):
     return out
 
 
+@lru_cache(maxsize=None)
+def _coupled_table(n):
+    """Block B of sigma in NC_0(2n) reads slot 2*(min B mod 2) + (B exterior)."""
+    return _table(
+        [(2 * (b[0] % 2) + (i in sigma.ext_blocks), len(b)) for i, b in enumerate(sigma.blocks)]
+        for sigma in enumerate_nc_0(2 * n)
+    )
+
+
 def _coupled_family_sum(odd_ext, odd_int, even_ext, even_int, n):
     """Blockwise products summed over the coupled family NC_0(2n).
 
@@ -357,16 +421,9 @@ def _coupled_family_sum(odd_ext, odd_int, even_ext, even_int, n):
     at an even element the even ones; exterior blocks read ``*_ext`` and
     interior blocks ``*_int``.
     """
-    families = ((even_int, even_ext), (odd_int, odd_ext))
-    acc = _zero(odd_ext.mode)
-    for sigma in enumerate_nc_0(2 * n):
-        ext = set(sigma.ext_blocks)
-        term = _one(odd_ext.mode)
-        for idx, b in enumerate(sigma.blocks):
-            fam = families[b[0] % 2][idx in ext]
-            term = term * fam.coefficient(len(b))
-        acc = acc + term
-    return acc
+    if n < 1:
+        raise ArgumentError(f"cumulants of a product need n >= 1, not n = {n}")
+    return _table_sum(_coupled_table(n), (even_int, even_ext, odd_int, odd_ext), odd_ext.mode)
 
 
 def product_psi_cumulants(r_x, r_y, n):

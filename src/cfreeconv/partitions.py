@@ -95,16 +95,17 @@ class NCPartition(SetPartition):
 
     A block is interior when some other block has elements on both sides of
     it (strictly below its minimum and strictly above its maximum); the rest
-    are exterior.
+    are exterior.  ``ext_blocks`` and ``int_blocks`` hold block indices and
+    are computed on first read: most partitions built in bulk, such as
+    complements, are never asked.
     """
 
-    __slots__ = ("ext_blocks", "int_blocks")
+    __slots__ = ("_split",)
 
     def __init__(self, n, blocks):
         super().__init__(n, blocks)
         if not is_noncrossing(self):
             raise ArgumentError("blocks cross")
-        self._classify()
 
     @classmethod
     def _from_canonical(cls, n, blocks):
@@ -113,10 +114,13 @@ class NCPartition(SetPartition):
         self = object.__new__(cls)
         self.n = n
         self.blocks = blocks
-        self._classify()
         return self
 
-    def _classify(self):
+    def _classified(self):
+        try:
+            return self._split
+        except AttributeError:
+            pass
         ext, intr = [], []
         for idx, b in enumerate(self.blocks):
             lo, hi = b[0], b[-1]
@@ -124,8 +128,16 @@ class NCPartition(SetPartition):
                 intr.append(idx)
             else:
                 ext.append(idx)
-        self.ext_blocks = tuple(ext)
-        self.int_blocks = tuple(intr)
+        self._split = (tuple(ext), tuple(intr))
+        return self._split
+
+    @property
+    def ext_blocks(self):
+        return self._classified()[0]
+
+    @property
+    def int_blocks(self):
+        return self._classified()[1]
 
     def exterior_blocks(self):
         return tuple(self.blocks[i] for i in self.ext_blocks)
@@ -204,13 +216,28 @@ def _segment_product(segs):
             yield shifted + rest
 
 
-def enumerate_nc(n):
-    """All non-crossing partitions of {1..n}, in canonical order."""
-    if not 1 <= n <= NC_MAX:
-        raise ResourceLimitError(f"enumerate_nc supports 1 <= n <= {NC_MAX}")
+def _sorted_nc(n):
     out = [NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n)]
     out.sort(key=lambda p: p.blocks)
     return out
+
+
+@lru_cache(maxsize=None)
+def _nc_cached(n):
+    return tuple(_sorted_nc(n))
+
+
+def enumerate_nc(n):
+    """All non-crossing partitions of {1..n}, in canonical order.
+
+    Up to ``_CACHE_MAX`` the partitions are built once and shared: each call
+    returns a fresh list of the same objects.
+    """
+    if not 1 <= n <= NC_MAX:
+        raise ResourceLimitError(f"enumerate_nc supports 1 <= n <= {NC_MAX}")
+    if n <= _CACHE_MAX:
+        return list(_nc_cached(n))
+    return _sorted_nc(n)
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +245,42 @@ def enumerate_nc(n):
 # ---------------------------------------------------------------------------
 
 def kreweras(p):
-    """Kreweras complement, by the planar-face construction.
+    """Kreweras complement, as the permutation product p^-1 gamma.
 
-    Gap k sits between elements k and k+1 (gap n after n).  Draw each block
-    as a comb joining its elements; the combs cut the upper half-plane into
-    faces.  Two gaps belong to the same complement block exactly when they
-    lie in the same face: same innermost enclosing block and same cell
-    between consecutive elements of it, with all gaps outside every comb
-    sharing the outer face.  Validated in the tests against the defining
-    maximality property.
+    Read each block as a cycle in ascending order and let gamma be the
+    cycle (1 2 ... n); the complement's blocks are the cycles of p^-1 gamma
+    (Nica and Speicher, *Lectures on the Combinatorics of Free Probability*,
+    Lecture 18), found in one O(n) walk.  Element k stands for the gap
+    between k and k+1.  For non-crossing p each cycle, walked from its least
+    element, comes out ascending, and the walks start in increasing order,
+    so the blocks come out canonical.  Every p has #p + #(p^-1 gamma) <=
+    n + 1, with equality exactly when p is non-crossing (Biane), so a
+    crossing partition is refused by counting.  Validated in the tests
+    against the defining maximality property and the planar-face walk.
     """
     n = p.n
-    where = {}
+    before = [0] * (n + 1)  # before[e] = p^-1(e)
     for b in p.blocks:
+        last = b[-1]
         for e in b:
-            where[e] = b
-    stack = []
-    face_of = {}
+            before[e] = last
+            last = e
+    after = before[2:] + before[1:2]  # after[k - 1] = p^-1(gamma(k))
+    seen = [False] * (n + 1)
+    blocks = []
     for k in range(1, n + 1):
-        b = where[k]
-        if len(b) > 1 and b[0] == k:
-            stack.append(b)
-        if stack and stack[-1][-1] == k:
-            stack.pop()
-        if stack:
-            top = stack[-1]
-            cell = sum(1 for e in top if e <= k)
-            face_of[k] = (top, cell)
-        else:
-            face_of[k] = None
-    groups = {}
-    for k in range(1, n + 1):
-        groups.setdefault(face_of[k], []).append(k)
-    blocks = tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
-    return NCPartition._from_canonical(n, blocks)
+        if seen[k]:
+            continue
+        cycle = []
+        j = k
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = after[j - 1]
+        blocks.append(tuple(cycle))
+    if len(p.blocks) + len(blocks) != n + 1:
+        raise ArgumentError(f"{p!r} is crossing; the Kreweras complement needs a non-crossing partition")
+    return NCPartition._from_canonical(n, tuple(blocks))
 
 
 def nc_join(p, q):

@@ -224,7 +224,7 @@ def phi_round_trips(order, rng):
 
 
 def closed_forms_vs_partition_sums(order, rng):
-    n = min(order, 7)
+    n = min(order, 9)
     for _ in range(5):
         r = random_vanishing(rng, n)
         cr = random_vanishing(rng, n)
@@ -238,7 +238,7 @@ def closed_forms_vs_partition_sums(order, rng):
 
 
 def product_cumulants(order, rng):
-    n = min(order, 5)
+    n = min(order, 6)
     for _ in range(5):
         rx = random_vanishing(rng, n)
         ry = random_vanishing(rng, n)
@@ -266,7 +266,7 @@ def moment_round_trips(order, rng):
 
 
 def linked_block_sums(order, rng):
-    n = min(order, 6)
+    n = min(order, 8)
     short = max(n - 2, 1)
     for _ in range(3):
         t = random_headed(rng, n - 1)

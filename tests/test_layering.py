@@ -3,8 +3,9 @@
 ``series``, ``cumulants``, ``transforms`` and ``measures`` carry the
 analytic route; every sum over partitions lives in ``oracles`` and is only
 ever called by the tests and ``cfreeconv verify``, so within the package
-only ``__init__`` and ``verify`` import it.  The check reads the sources, so
-an import hidden inside a function counts too.
+only ``__init__`` and ``verify`` import it.  In turn ``oracles`` imports
+none of the closed forms it checks.  The check reads the sources, so an
+import hidden inside a function counts too.
 """
 import ast
 from pathlib import Path
@@ -45,6 +46,12 @@ def top_level_functions(path):
 def test_production_module_imports_no_oracles(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert package_imports(tree) & FORBIDDEN == set()
+
+
+def test_oracles_import_no_closed_form():
+    # The partition sums check the closed forms, so they must not reach them.
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    assert package_imports(tree) & {"cumulants", "transforms", "measures"} == set()
 
 
 def test_only_init_and_verify_import_oracles():

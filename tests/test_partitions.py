@@ -81,6 +81,78 @@ def test_kreweras_small_cases():
     assert kreweras(singletons(4)).blocks == ((1, 2, 3, 4),)
 
 
+def kreweras_by_faces(p):
+    """Reference complement by the planar-face construction.
+
+    Gap k sits between elements k and k+1 (gap n after n).  Draw each block
+    as a comb joining its elements; the combs cut the upper half-plane into
+    faces.  Two gaps belong to the same complement block exactly when they
+    lie in the same face: same innermost enclosing block and same cell
+    between consecutive elements of it, with all gaps outside every comb
+    sharing the outer face.
+    """
+    n = p.n
+    where = {}
+    for b in p.blocks:
+        for e in b:
+            where[e] = b
+    stack = []
+    face_of = {}
+    for k in range(1, n + 1):
+        b = where[k]
+        if len(b) > 1 and b[0] == k:
+            stack.append(b)
+        if stack and stack[-1][-1] == k:
+            stack.pop()
+        if stack:
+            top = stack[-1]
+            cell = sum(1 for e in top if e <= k)
+            face_of[k] = (top, cell)
+        else:
+            face_of[k] = None
+    groups = {}
+    for k in range(1, n + 1):
+        groups.setdefault(face_of[k], []).append(k)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def rotated_down(p):
+    """The blocks of p relabeled by e -> e - 1, with 1 -> n, in canonical order."""
+    return tuple(sorted(tuple(sorted((e - 2) % p.n + 1 for e in b)) for b in p.blocks))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_on_all_of_nc(n):
+    parts = enumerate_nc(n)
+    complements = [kreweras(p) for p in parts]
+    assert len(set(complements)) == len(parts)  # a bijection of NC(n)
+    for p, k in zip(parts, complements):
+        assert k.blocks == kreweras_by_faces(p)
+        assert len(p) + len(k) == n + 1
+        assert kreweras(k).blocks == rotated_down(p)
+
+
+def test_kreweras_refuses_a_crossing_partition():
+    with pytest.raises(ArgumentError, match="crossing"):
+        kreweras(SetPartition(4, [(1, 3), (2, 4)]))
+    for n in range(1, 7):
+        for blocks in oracles.iter_set_partitions(n):
+            p = SetPartition(n, blocks)
+            if oracles.has_crossing_quadruple(blocks):
+                with pytest.raises(ArgumentError):
+                    kreweras(p)
+            else:
+                assert kreweras(p) == kreweras(NCPartition(n, blocks))
+
+
+def test_enumerate_nc_returns_a_fresh_list_of_shared_partitions():
+    first, second = enumerate_nc(6), enumerate_nc(6)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(enumerate_nc(6)) == 132
+
+
 def test_nc_join_against_search():
     rng = random.Random(11)
     for n in range(2, 7):

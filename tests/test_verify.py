@@ -19,10 +19,10 @@ DEEPER = {
     ("partitions", "complement vs maximality search"): (6, 1),
     ("cumulants", "psi round trips"): (8, 10),  # 100 cases
     ("cumulants", "phi round trips"): (8, 10),  # 100 cases
-    ("cumulants", "closed forms vs partition sums"): (7, 6),  # 30 cases
-    ("cumulants", "product cumulants vs boxed convolution"): (5, 4),  # 20 cases
+    ("cumulants", "closed forms vs partition sums"): (9, 6),  # 30 cases
+    ("cumulants", "product cumulants vs boxed convolution"): (6, 4),  # 20 cases
     ("transforms", "moment round trips"): (7, 5),  # 50 cases
-    ("transforms", "linked-block moment sums"): (6, 2),  # 6 cases
+    ("transforms", "linked-block moment sums"): (8, 2),  # 6 cases
     ("transforms", "pair multiplicativity vs partition sums"): (5, 3),  # 6 cases
     ("transforms", "sigma value at zero"): (8, 6),  # 30 cases
     ("measures", "infinitely divisible roots"): (6, 1),
