@@ -103,7 +103,7 @@ class CircleMeasure:
 
     @classmethod
     def poisson(cls, alpha):
-        if abs(_as_complex(alpha)) >= 1:
+        if not abs(_as_complex(alpha)) < 1:
             raise ArgumentError("the kernel parameter needs |alpha| < 1")
         return cls("poisson", alpha=alpha)
 
@@ -111,7 +111,7 @@ class CircleMeasure:
     def moment_seq(cls, values):
         vals = tuple(values)
         for v in vals:
-            if abs(_as_complex(v)) > 1 + _MOMENT_SLACK:
+            if not abs(_as_complex(v)) <= 1 + _MOMENT_SLACK:
                 raise ArgumentError("moments of a law on the circle are bounded by 1")
         return cls("moments", values=vals)
 
@@ -202,6 +202,8 @@ class CircleMeasure:
 
     @classmethod
     def from_json(cls, data, probability=True):
+        if not isinstance(data, dict):
+            raise ArgumentError(f"a measure must be a JSON object with a 'type' entry, not {data!r}")
         kind = data.get("type")
         if kind == "atomic":
             return cls.atomic(
@@ -248,7 +250,7 @@ class IdGenerator:
     __slots__ = ("gamma", "sigma")
 
     def __init__(self, gamma, sigma=None):
-        if abs(abs(_as_complex(gamma)) - 1) > 1e-9:
+        if not abs(abs(_as_complex(gamma)) - 1) <= 1e-9:
             raise ArgumentError("gamma must sit on the unit circle")
         if sigma is None:
             sigma = CircleMeasure.atomic([], probability=False)
@@ -327,10 +329,14 @@ def _computed_law(values):
     """The law with the moments 1..N computed in this module.
 
     A computed moment outside the unit disk means double precision lost the
-    result, so this raises :class:`NumericalError`; ``moment_seq`` keeps
-    :class:`ArgumentError` for lists the caller supplies.
+    result, and so does a moment that is not a number, so this raises
+    :class:`NumericalError`; ``moment_seq`` keeps :class:`ArgumentError` for
+    lists the caller supplies.
     """
-    largest = max((abs(_as_complex(v)) for v in values), default=0.0)
+    moduli = [abs(_as_complex(v)) for v in values]
+    if any(math.isnan(x) for x in moduli):
+        raise NumericalError(f"a computed moment at order {len(values)} is not a number")
+    largest = max(moduli, default=0.0)
     if largest > 1 + _MOMENT_SLACK:
         raise NumericalError(
             f"computed moments at order {len(values)} reach modulus {largest:.3e}, "

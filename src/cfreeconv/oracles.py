@@ -29,6 +29,7 @@ from itertools import combinations
 from .errors import ArgumentError, DomainError
 from .partitions import (
     NCPartition,
+    blocks_cross,
     enumerate_nc,
     enumerate_nc_0,
     enumerate_ncl,
@@ -142,13 +143,6 @@ def ncl_block_families(n):
     """
     out = []
 
-    def strict_cross(a, b):
-        for first, second in ((a, b), (b, a)):
-            for i, p in combinations(first, 2):
-                if any(i < k < p for k in second) and any(q > p for q in second):
-                    return True
-        return False
-
     def extend(blocks, cover, last_min):
         uncovered = [e for e in range(1, n + 1) if cover[e] == 0]
         if not uncovered:
@@ -178,7 +172,7 @@ def ncl_block_families(n):
                     if hang and not tail:
                         continue  # a linked block needs size >= 2
                     new = (m,) + tail
-                    if not _family_ok(new, blocks, strict_cross):
+                    if not _family_ok(new, blocks):
                         continue
                     for e in new:
                         cover[e] += 1
@@ -186,7 +180,7 @@ def ncl_block_families(n):
                     for e in new:
                         cover[e] -= 1
 
-    def _family_ok(new, blocks, strict_cross):
+    def _family_ok(new, blocks):
         new_set = set(new)
         for b in blocks:
             shared = new_set & set(b)
@@ -194,7 +188,7 @@ def ncl_block_families(n):
                 return False
             if shared and (len(new) < 2 or len(b) < 2):
                 return False
-            if strict_cross(new, b):
+            if blocks_cross(new, b):
                 return False
         return True
 
@@ -365,6 +359,20 @@ def psi_moments_via_linked_blocks(t, n_max=None):
 # Partition-indexed cumulant products and cumulants of a product
 # ---------------------------------------------------------------------------
 
+def _kappa(p, letters, ext):
+    """Blockwise cumulant product: ``cR`` on the blocks indexed in ``ext``, ``R`` on the rest."""
+    if len(letters) != p.n:
+        raise ArgumentError("need one letter per element")
+    out = None
+    for idx, b in enumerate(p.blocks):
+        owner = letters[b[0] - 1]
+        if any(letters[e - 1] is not owner for e in b):
+            return _zero(owner.mode)
+        w = (owner.cR if idx in ext else owner.R).coefficient(len(b))
+        out = w if out is None else out * w
+    return out
+
+
 def kappa(p, letters):
     """Blockwise free-cumulant product; zero unless each block is one letter.
 
@@ -372,16 +380,7 @@ def kappa(p, letters):
     ground-set element; lookup is by object identity, so distinct objects are
     distinct letters even if their series coincide.
     """
-    if len(letters) != p.n:
-        raise ArgumentError("need one letter per element")
-    out = None
-    for b in p.blocks:
-        owner = letters[b[0] - 1]
-        if any(letters[e - 1] is not owner for e in b):
-            return _zero(owner.mode)
-        w = owner.R.coefficient(len(b))
-        out = w if out is None else out * w
-    return out
+    return _kappa(p, letters, ())
 
 
 def Kappa(p, letters):
@@ -389,20 +388,7 @@ def Kappa(p, letters):
 
     Interior blocks read the psi cumulants ``R``, exterior ones ``cR``.
     """
-    if len(letters) != p.n:
-        raise ArgumentError("need one letter per element")
-    ext = set(p.ext_blocks)
-    out = None
-    for idx, b in enumerate(p.blocks):
-        owner = letters[b[0] - 1]
-        if any(letters[e - 1] is not owner for e in b):
-            return _zero(owner.mode)
-        if idx in ext:
-            w = owner.cR.coefficient(len(b))
-        else:
-            w = owner.R.coefficient(len(b))
-        out = w if out is None else out * w
-    return out
+    return _kappa(p, letters, p.ext_blocks)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ elements.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -40,8 +41,8 @@ def blocks_cross(a, b):
     return False
 
 
-class SetPartition:
-    """A partition of {1..n} into disjoint nonempty blocks."""
+class _Blocks:
+    """Blocks over {1..n}, each an ascending tuple, ordered by their minima."""
 
     __slots__ = ("n", "blocks")
 
@@ -54,19 +55,25 @@ class SetPartition:
             if not bb or len(set(bb)) != len(bb):
                 raise ArgumentError("blocks must be nonempty with distinct elements")
             canon.append(bb)
-        canon.sort(key=lambda b: b[0])
-        covered = sorted(e for b in canon for e in b)
-        if covered != list(range(1, n + 1)):
-            raise ArgumentError(f"blocks must partition 1..{n} into disjoint sets")
+        canon.sort()
         self.n = n
         self.blocks = tuple(canon)
+
+    @classmethod
+    def _from_canonical(cls, n, blocks):
+        # Fast path for enumeration output: blocks already canonical and valid.
+        self = object.__new__(cls)
+        self.n = n
+        self.blocks = blocks
+        return self
 
     def __len__(self):
         return len(self.blocks)
 
     def __eq__(self, other):
         return (
-            isinstance(other, SetPartition)
+            isinstance(other, _Blocks)
+            and self._family == other._family
             and self.n == other.n
             and self.blocks == other.blocks
         )
@@ -80,6 +87,19 @@ class SetPartition:
 
     def to_json(self):
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
+
+
+class SetPartition(_Blocks):
+    """A partition of {1..n} into disjoint nonempty blocks."""
+
+    __slots__ = ()
+    _family = "set"
+
+    def __init__(self, n, blocks):
+        super().__init__(n, blocks)
+        covered = sorted(e for b in self.blocks for e in b)
+        if covered != list(range(1, n + 1)):
+            raise ArgumentError(f"blocks must partition 1..{n} into disjoint sets")
 
 
 def is_noncrossing(p):
@@ -106,15 +126,6 @@ class NCPartition(SetPartition):
         super().__init__(n, blocks)
         if not is_noncrossing(self):
             raise ArgumentError("blocks cross")
-
-    @classmethod
-    def _from_canonical(cls, n, blocks):
-        # Fast path for enumeration output: blocks already canonical and
-        # known to be non-crossing.
-        self = object.__new__(cls)
-        self.n = n
-        self.blocks = blocks
-        return self
 
     def _classified(self):
         try:
@@ -160,71 +171,57 @@ def one_block(n):
 # Enumeration of NC(n)
 # ---------------------------------------------------------------------------
 
-def _shift(blocks, off):
-    return tuple(tuple(e + off for e in b) for b in blocks)
+def _iter_nc(n, step):
+    """Yield the blocks of the non-crossing partitions of {1..n} made by ``step``.
 
-
-@lru_cache(maxsize=None)
-def _nc_small(n):
-    return tuple(_iter_nc_uncached(n))
-
-
-def _iter_nc(n):
-    if n <= _CACHE_MAX:
-        return iter(_nc_small(n))
-    return _iter_nc_uncached(n)
-
-
-def _iter_nc_uncached(n):
-    """Yield the blocks of every non-crossing partition of {1..n}.
-
-    Recursive on the block containing 1: once that block is fixed, the runs
-    of elements between its consecutive members (and after its maximum) must
-    be partitioned independently, each without crossings.
+    Recursive on the block containing 1: it takes 1 and any of 1 + step,
+    1 + 2*step, ... up to n, and the runs of elements between its
+    consecutive members (and after its maximum) are then partitioned
+    independently, each without crossings.  Step 1 gives all of NC(n).
+    Step 2 gives the parity-constant ones: the first block keeps one parity,
+    and parity-constancy survives the shift of a run, so the runs recurse
+    with the same step.  Either way the partitions come out in one fixed
+    order, which :func:`enumerate_nc_s` keeps.
     """
     if n == 0:
         yield ()
         return
-    for rest in _subsets(range(2, n + 1)):
-        first = (1,) + rest
-        segs = []
-        prev = None
-        for e in first:
-            if prev is not None and e - prev > 1:
-                segs.append((prev, e - prev - 1))  # (offset, length)
-            prev = e
-        if first[-1] < n:
-            segs.append((first[-1], n - first[-1]))
-        for tail_blocks in _segment_product(tuple(segs)):
-            yield tuple(sorted((first,) + tail_blocks, key=lambda b: b[0]))
-
-
-def _subsets(pool):
-    pool = tuple(pool)
+    pool = range(1 + step, n + 1, step)
     for r in range(len(pool) + 1):
-        yield from combinations(pool, r)
+        for rest in combinations(pool, r):
+            first = (1,) + rest
+            runs = tuple(
+                (lo, hi - lo - 1) for lo, hi in zip(first, first[1:] + (n + 1,)) if hi - lo > 1
+            )
+            for tail in _run_product(runs, step):
+                yield tuple(sorted((first,) + tail, key=lambda b: b[0]))
 
 
-def _segment_product(segs):
-    if not segs:
+def _run_product(runs, step):
+    """Every choice of one partition per (offset, length) run, shifted into place."""
+    if not runs:
         yield ()
         return
-    (off, size) = segs[0]
-    for part in _iter_nc(size):
-        shifted = _shift(part, off)
-        for rest in _segment_product(segs[1:]):
+    (off, size), later = runs[0], runs[1:]
+    for part in _nc(size, step):
+        shifted = tuple(tuple(e + off for e in b) for b in part.blocks)
+        for rest in _run_product(later, step):
             yield shifted + rest
 
 
-def _sorted_nc(n):
-    out = [NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n)]
-    out.sort(key=lambda p: p.blocks)
-    return out
+@lru_cache(maxsize=None)
+def _nc_cached(n, step):
+    return tuple(NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step))
+
+
+def _nc(n, step):
+    """The partitions of :func:`_iter_nc`, built once and shared up to ``_CACHE_MAX``."""
+    return (_nc_cached if n <= _CACHE_MAX else _nc_cached.__wrapped__)(n, step)
 
 
 @lru_cache(maxsize=None)
-def _nc_cached(n):
-    return tuple(_sorted_nc(n))
+def _sorted_nc(n):
+    return tuple(sorted(_nc(n, 1), key=lambda p: p.blocks))
 
 
 def enumerate_nc(n):
@@ -235,9 +232,7 @@ def enumerate_nc(n):
     """
     if not 1 <= n <= NC_MAX:
         raise ResourceLimitError(f"enumerate_nc supports 1 <= n <= {NC_MAX}")
-    if n <= _CACHE_MAX:
-        return list(_nc_cached(n))
-    return _sorted_nc(n)
+    return list((_sorted_nc if n <= _CACHE_MAX else _sorted_nc.__wrapped__)(n))
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +344,13 @@ def undouble(p):
 # Parity-constant partitions, and the coupled subfamily
 # ---------------------------------------------------------------------------
 
-def _is_parity_constant(blocks):
-    return all(len({e % 2 for e in b}) == 1 for b in blocks)
+def _parity_part(p, parity):
+    """Restriction of a parity-constant partition to the elements of one parity, relabeled.
 
-
-def odd_part(p):
-    """Restriction of a parity-constant partition to odd elements, relabeled."""
-    blocks = tuple(
-        sorted(
-            (tuple((e + 1) // 2 for e in b) for b in p.blocks if b[0] % 2 == 1),
-            key=lambda b: b[0],
-        )
-    )
-    return NCPartition(p.n // 2, blocks)
-
-
-def even_part(p):
-    """Restriction of a parity-constant partition to even elements, relabeled."""
-    blocks = tuple(
-        sorted(
-            (tuple(e // 2 for e in b) for b in p.blocks if b[0] % 2 == 0),
-            key=lambda b: b[0],
-        )
-    )
-    return NCPartition(p.n // 2, blocks)
-
-
-@lru_cache(maxsize=None)
-def _nc_s_cached(two_n):
-    return tuple(
-        NCPartition._from_canonical(two_n, blocks)
-        for blocks in _iter_nc(two_n)
-        if _is_parity_constant(blocks)
-    )
+    Element e becomes (e + 1) // 2, which is e // 2 for even e.
+    """
+    blocks = tuple(tuple((e + 1) // 2 for e in b) for b in p.blocks if b[0] % 2 == parity)
+    return NCPartition._from_canonical(p.n // 2, blocks)
 
 
 def enumerate_nc_s(two_n):
@@ -390,13 +359,7 @@ def enumerate_nc_s(two_n):
         raise ResourceLimitError(
             f"enumerate_nc_s needs an even ground set of size <= {NCS_MAX}"
         )
-    if two_n <= _CACHE_MAX:
-        return list(_nc_s_cached(two_n))
-    return [
-        NCPartition._from_canonical(two_n, blocks)
-        for blocks in _iter_nc(two_n)
-        if _is_parity_constant(blocks)
-    ]
+    return list(_nc(two_n, 2))
 
 
 def pair_singletons_doubled(n):
@@ -406,14 +369,11 @@ def pair_singletons_doubled(n):
 
 @lru_cache(maxsize=None)
 def _nc_0_cached(two_n):
-    n = two_n // 2
-    zero_hat = pair_singletons_doubled(n)
-    top = one_block(two_n)
+    joined = set(group_nc_s_by_join(two_n).get(one_block(two_n // 2), ()))
     out = []
     for sigma in enumerate_nc_s(two_n):
-        by_complement = even_part(sigma) == kreweras(odd_part(sigma))
-        by_join = nc_join(sigma, zero_hat) == top
-        if by_complement != by_join:
+        by_complement = _parity_part(sigma, 0) == kreweras(_parity_part(sigma, 1))
+        if by_complement != (sigma in joined):
             raise NumericalError(
                 f"complement and join criteria disagree on {sigma!r}; this is a bug"
             )
@@ -461,7 +421,7 @@ def group_nc_s_by_join(two_n):
 # Non-crossing linked partitions
 # ---------------------------------------------------------------------------
 
-class NCLinkedPartition:
+class NCLinkedPartition(_Blocks):
     """Blocks covering {1..n}, non-crossing, pairwise sharing at most one element.
 
     A shared element must be the minimum of exactly one of the two blocks
@@ -470,25 +430,15 @@ class NCLinkedPartition:
     pairwise distinct.
     """
 
-    __slots__ = ("n", "blocks", "cover_count")
+    __slots__ = ("cover_count",)
+    _family = "ncl"
 
     def __init__(self, n, blocks):
-        if n < 1:
-            raise ArgumentError("ground-set size must be at least 1")
-        canon = []
-        for b in blocks:
-            bb = tuple(sorted(b))
-            if not bb or len(set(bb)) != len(bb):
-                raise ArgumentError("blocks must be nonempty with distinct elements")
-            canon.append(bb)
-        canon.sort(key=lambda b: (b[0], b))
-        count = {}
-        for b in canon:
-            for e in b:
-                count[e] = count.get(e, 0) + 1
+        super().__init__(n, blocks)
+        count = Counter(e for b in self.blocks for e in b)
         if sorted(count) != list(range(1, n + 1)):
             raise ArgumentError(f"blocks must cover 1..{n}")
-        for a, b in combinations(canon, 2):
+        for a, b in combinations(self.blocks, 2):
             shared = set(a) & set(b)
             if len(shared) > 1:
                 raise ArgumentError("two blocks share more than one element")
@@ -504,41 +454,13 @@ class NCLinkedPartition:
                 raise ArgumentError("blocks cross")
         if any(c > 2 for c in count.values()):
             raise ArgumentError("an element may lie in at most two blocks")
-        self.n = n
-        self.blocks = tuple(canon)
         self.cover_count = count
 
     @classmethod
     def _from_canonical(cls, n, blocks):
-        self = object.__new__(cls)
-        self.n = n
-        self.blocks = blocks
-        count = {}
-        for b in blocks:
-            for e in b:
-                count[e] = count.get(e, 0) + 1
-        self.cover_count = count
+        self = super()._from_canonical(n, blocks)
+        self.cover_count = Counter(e for b in blocks for e in b)
         return self
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCLinkedPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash(("ncl", self.n, self.blocks))
-
-    def __repr__(self):
-        body = "".join(repr(list(b)) for b in self.blocks)
-        return f"NCLinkedPartition({self.n}, {body})"
-
-    def to_json(self):
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 
 
 def _iter_ncl(n):

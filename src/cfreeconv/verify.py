@@ -148,9 +148,13 @@ def ncl_vs_block_families(order, rng):
 
 
 def parity_counts(order, rng):
-    _ensure(len(enumerate_nc_s(4)) == 3, "nc_s(4) != 3")
-    _ensure(len(enumerate_nc_0(4)) == 2, "nc_0(4) != 2")
-    return "nc_s(4)=3, nc_0(4)=2"
+    # |NC_s(2n)| is the Fuss-Catalan number C(3n, n)/(2n+1); |NC_0(2n)| is C_n.
+    sizes = range(1, 7)
+    nc_s = [len(enumerate_nc_s(2 * n)) for n in sizes]
+    nc_0 = [len(enumerate_nc_0(2 * n)) for n in sizes]
+    _ensure(nc_s == [math.comb(3 * n, n) // (2 * n + 1) for n in sizes], f"nc_s: {nc_s}")
+    _ensure(nc_0 == catalan_numbers(6), f"nc_0: {nc_0}")
+    return "2n = 2..12: nc_s %s; nc_0 %s" % (",".join(map(str, nc_s)), ",".join(map(str, nc_0)))
 
 
 def complement_sizes(order, rng):

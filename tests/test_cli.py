@@ -332,3 +332,55 @@ def test_computed_moment_bound_raises_numerical_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: computed moments at order 48 reach modulus")
     assert "Traceback" not in captured.err
+
+
+SIGMA_TARGET = {"mode": "approx", "order": 2, "coeffs": [[1, 0], [0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--kind", "boolean", "--a", "{list}", "--b", "{law}"],
+        ["convolve", "--kind", "boolean", "--a", "{text}", "--b", "{law}"],
+        ["convolve", "--kind", "cfree", "--a", "{pair}", "--b", "{pair}"],
+        ["transform", "--in", "{list}", "--what", "r"],
+        ["idiv", "--gamma", "1,0", "--sigma", "{list}", "--kind", "free"],
+        ["semigroup", "--gen", "{gen}", "--sigma-target", "{target}", "--t", "1"],
+    ],
+    ids=["boolean-list", "boolean-string", "cfree-mu", "transform", "idiv-sigma", "semigroup-sigma"],
+)
+def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
+    paths = {
+        "list": write(tmp_path / "list.json", [1, 2]),
+        "text": write(tmp_path / "text.json", "x"),
+        "law": write(tmp_path / "law.json", delta("0")),
+        "pair": write(tmp_path / "pair.json", {"mu": [1], "nu": delta("0")}),
+        "gen": write(tmp_path / "gen.json", {"gamma": [1, 0], "sigma": [1]}),
+        "target": write(tmp_path / "target.json", SIGMA_TARGET),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a measure must be a JSON object")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["idiv", "--gamma", "nan,0", "--kind", "free"], "gamma must sit on the unit circle"),
+        (["transform", "--in", "{poisson}", "--what", "r", "--order", "2"], "the kernel parameter needs |alpha| < 1"),
+        (["transform", "--in", "{moments}", "--what", "r", "--order", "1"], "moments of a law on the circle are bounded by 1"),
+    ],
+    ids=["gamma", "poisson", "moments"],
+)
+def test_nan_input_exits_2(tmp_path, capsys, argv, message):
+    # json.load reads the bare token NaN as float("nan").
+    poisson = tmp_path / "poisson.json"
+    poisson.write_text('{"type": "poisson", "alpha": [NaN, 0]}')
+    moments = tmp_path / "moments.json"
+    moments.write_text('{"type": "moments", "values": [[NaN, 0]]}')
+    assert main([arg.format(poisson=poisson, moments=moments) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

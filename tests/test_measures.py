@@ -8,7 +8,7 @@ import pytest
 
 from cfreeconv import measures
 from cfreeconv.cumulants import free_cumulants_from_moments
-from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
+from cfreeconv.errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
 from cfreeconv.measures import (
     CircleMeasure,
     IdGenerator,
@@ -99,6 +99,20 @@ def test_moment_guards():
         CircleMeasure.moment_seq([2.0])
     with pytest.raises(ArgumentError):
         CircleMeasure.poisson(1.2)
+    nan = float("nan")
+    with pytest.raises(ArgumentError):
+        CircleMeasure.poisson(complex(nan, 0))
+    with pytest.raises(ArgumentError):
+        CircleMeasure.moment_seq([0.5, complex(nan, 0)])
+    with pytest.raises(ArgumentError):
+        IdGenerator(complex(nan, 0))
+
+
+@pytest.mark.parametrize("values", [[complex("nan"), 0.5], [0.5, complex("nan")], [0.5, complex(0, float("nan"))]])
+def test_computed_law_refuses_a_moment_that_is_not_a_number(values):
+    # max() skips a NaN that is not first, so every value must be tested.
+    with pytest.raises(NumericalError, match="not a number"):
+        measures._computed_law(values)
 
 
 def test_measure_json_round_trips():

@@ -1,10 +1,11 @@
 """Partition machinery against brute-force oracles and frozen small cases."""
+import hashlib
 import random
 
 import pytest
 
-from cfreeconv import oracles
-from cfreeconv.errors import ArgumentError, ResourceLimitError
+from cfreeconv import oracles, partitions
+from cfreeconv.errors import ArgumentError, NumericalError, ResourceLimitError
 from cfreeconv.partitions import (
     NCLinkedPartition,
     NCPartition,
@@ -172,15 +173,61 @@ def test_double_and_undouble():
             assert undouble(double(p)) == p  # doubling keeps non-crossing
 
 
+def parity_constant(blocks):
+    return all(len({e % 2 for e in b}) == 1 for b in blocks)
+
+
 def test_nc_s_counts_and_membership():
     assert len(enumerate_nc_s(4)) == 3
     for two_n in (2, 4, 6, 8):
-        byhand = [
-            p
-            for p in enumerate_nc(two_n)
-            if all(len({e % 2 for e in b}) == 1 for b in p.blocks)
-        ]
-        assert {p.blocks for p in enumerate_nc_s(two_n)} == {p.blocks for p in byhand}
+        ours = {p.blocks for p in enumerate_nc_s(two_n)}
+        assert ours == {p.blocks for p in enumerate_nc(two_n) if parity_constant(p.blocks)}
+        assert ours == {blocks for blocks in oracles.nc_by_filtering(two_n) if parity_constant(blocks)}
+
+
+@pytest.mark.parametrize("two_n", range(2, 13, 2))
+def test_nc_s_is_the_parity_filter_of_nc_in_generation_order(two_n):
+    filtered = [blocks for blocks in partitions._iter_nc(two_n, 1) if parity_constant(blocks)]
+    assert [p.blocks for p in enumerate_nc_s(two_n)] == filtered
+
+
+def digest(lists):
+    h = hashlib.sha256()
+    for parts in lists:
+        h.update(repr([p.blocks for p in parts]).encode())
+    return h.hexdigest()
+
+
+def test_parity_classes_keep_their_frozen_order():
+    # sha256 of the block lists for 2n = 2, 4, ..., 12, as the earlier
+    # filter over all of NC(2n) produced them.
+    sizes = range(2, 13, 2)
+    assert digest(enumerate_nc_s(k) for k in sizes) == "1fd4cda468a53e536c2e3c7f7acc85d41159d4811bce3541e8f1ff652a325ac7"
+    assert digest(enumerate_nc_0(k) for k in sizes) == "5abd3d542f07e6fc7a526a595e63909c0e35bd5e417dfee2743400851f112b3a"
+
+
+def test_nc_s_does_not_enumerate_all_of_nc(monkeypatch):
+    real = partitions._iter_nc
+    sizes = []
+
+    def spy(n, *step):
+        if step in ((), (1,)):
+            sizes.append(n)
+        return real(n, *step)
+
+    monkeypatch.setattr(partitions, "_iter_nc", spy)
+    assert len(enumerate_nc_s(12)) == 1428
+    assert 12 not in sizes
+
+
+def test_nc_0_cross_check_catches_a_wrong_complement(monkeypatch):
+    monkeypatch.setattr(partitions, "kreweras", lambda p: p)
+    partitions._nc_0_cached.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match="disagree"):
+            enumerate_nc_0(6)
+    finally:
+        partitions._nc_0_cached.cache_clear()
 
 
 def test_nc_0_counts_and_exterior_structure():
