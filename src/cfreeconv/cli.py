@@ -191,6 +191,8 @@ def _cmd_semigroup(args):
         raise ArgumentError(f"{args.gen} must hold a generator object with a 'gamma' entry")
     gamma = data["gamma"]
     if isinstance(gamma, (list, tuple)):
+        if len(gamma) != 2:
+            raise ArgumentError(f"gamma in {args.gen} must be a pair [re, im], not {gamma!r}")
         gamma = complex(gamma[0], gamma[1])
     else:
         gamma = _parse_complex(str(gamma))

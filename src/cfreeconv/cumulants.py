@@ -29,7 +29,7 @@ from .series import TruncatedSeries, _one
 
 
 def _check_vanishing(s, what):
-    if s.coeffs[0]:
+    if s._nonzero(0):
         raise ArgumentError(f"{what} must have a vanishing constant term")
 
 

@@ -3,8 +3,10 @@
 A law enters every computation through its moment sequence, so the measure
 types are thin: finitely many atoms at rational turns, the uniform law, the
 Poisson kernel law with parameter alpha, or a bare stored moment list.
-Atoms keep exact rational angles; quarter-turn atoms evaluate in exact
-rational arithmetic, everything else in double precision.
+Atoms keep exact rational angles.  Laws with atoms at quarter turns only
+evaluate exactly: their moments are 4-periodic, and they are written
+directly as integer numerators over the lcm of the weights' denominators.
+Everything else evaluates in double precision.
 
 Three convolutions act at this level.  The boolean one multiplies b-series,
 the free multiplicative one multiplies t-series, and the pair-level one
@@ -33,13 +35,6 @@ from .transforms import (
 
 _MOMENT_SLACK = 1e-7  # double-precision moments of a law may exceed 1 by this much
 
-_QUARTER = {
-    Fraction(0): ComplexRational(1),
-    Fraction(1, 4): ComplexRational(0, 1),
-    Fraction(1, 2): ComplexRational(-1),
-    Fraction(3, 4): ComplexRational(0, -1),
-}
-
 
 def _as_complex(value):
     if isinstance(value, ComplexRational):
@@ -47,15 +42,8 @@ def _as_complex(value):
     return complex(value)
 
 
-def _unit(turn, mode):
-    """The point exp(2 pi i turn) in the requested arithmetic."""
-    if mode == "exact":
-        try:
-            return _QUARTER[turn]
-        except KeyError:
-            raise DomainError(
-                f"turn {turn} has no exact rational value; use approx mode"
-            ) from None
+def _unit(turn):
+    """The point exp(2 pi i turn) in double precision."""
     return cmath.exp(1j * math.tau * float(turn))
 
 
@@ -136,9 +124,11 @@ class CircleMeasure:
             raise DomainError("this law's data is not exactly representable")
         if self.kind == "haar":
             return TruncatedSeries.zero(order, mode)
+        if self.kind == "atomic" and mode == "exact":
+            return self._quarter_turn_moments(order)
         coeffs = [_coerce(0, mode)]
         if self.kind == "atomic":
-            state = [(_coerce(w, mode), _unit(t, mode)) for t, w in self.atoms]
+            state = [(_coerce(w, mode), _unit(t)) for t, w in self.atoms]
             running = [unit for _, unit in state]
             for _ in range(order):
                 total = _coerce(0, mode)
@@ -157,6 +147,24 @@ class CircleMeasure:
                 raise ArgumentError("the stored moment list is shorter than the order")
             coeffs += [_coerce(v, mode) for v in self.values[:order]]
         return TruncatedSeries(coeffs, mode)
+
+    def _quarter_turn_moments(self, order):
+        """Exact moments 1..order of atoms at quarter turns, written as integers.
+
+        An atom at q quarter turns with weight w adds w i^(qk) to m_k, so the
+        moments repeat with period 4.  Each atom adds the numerator of its
+        weight over the lcm of the weights' denominators, with a sign, to the
+        real or the imaginary list.
+        """
+        den = math.lcm(*(w.denominator for _, w in self.atoms))
+        period = ([0] * 4, [0] * 4)  # real and imaginary numerators of m_k by k mod 4
+        for turn, weight in self.atoms:
+            num = weight.numerator * (den // weight.denominator)
+            for k in range(4):
+                e = int(4 * turn) * k % 4  # m_k gains num * i^e
+                period[e % 2][k] += num if e < 2 else -num
+        re, im = ([0] + [part[k % 4] for k in range(1, order + 1)] for part in period)
+        return TruncatedSeries._from_ints(re, im, den)
 
     def __eq__(self, other):
         if not isinstance(other, CircleMeasure):

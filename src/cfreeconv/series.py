@@ -14,11 +14,29 @@ computation share a mode; binary arithmetic also insists on a common order.
 Operations that lose the top coefficient (shifting down by one power of z,
 composition-style transforms) return a series of lower order rather than
 padding with junk.
+
+Series products per operation at order N, in exact mode: composition
+ceil(sqrt(N+1)) - 1 for the powers of the inner series and
+ceil((N+1)/ceil(sqrt(N+1))) - 1 for Horner's rule over blocks of outer
+coefficients (Brent-Kung baby-step/giant-step), about 2 sqrt(N) in all;
+reversion one reciprocal and s - 1 + N//s - 1 with s = ceil(sqrt(N))
+(Johansson's baby-step/giant-step Lagrange), again about 2 sqrt(N).  Approx
+mode runs the same code with blocks of one coefficient: that is Horner's
+rule (N products) and the power-by-power Lagrange loop (N - 1 products),
+with their rounding.  In floats a composition's giant step multiplies the
+rounding error of each block by coefficients that grow like binomials
+wherever the inner series' coefficients do not decay (the reversion of a
+law near a point mass), and the error no longer cancels.  Giant-step
+reversion is about as accurate as the loop, but it moves rounding enough
+to flip ill-conditioned approx results across their checks both ways, so
+approx mode keeps the loop until it has a precision budget.  The binomial
+transform f(z/(1-z)) needs no product in either mode.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import ArgumentError, DomainError
 
@@ -195,6 +213,15 @@ def _product(a, b, c, d):
     return _unpack(k1 - k3, width, count, bias), _unpack(k1 + k2, width, count, bias)
 
 
+def _binomial_rows(c):
+    """[c_0, b_1, .., b_N] with b_n = sum_k c_k C(n-1, k-1)."""
+    out, row = c[:1], c[1:]
+    while row:
+        out.append(row[0])
+        row = [x + y for x, y in zip(row, row[1:])]
+    return out
+
+
 class TruncatedSeries:
     """Coefficients c_0..c_order in one arithmetic mode."""
 
@@ -315,13 +342,6 @@ class TruncatedSeries:
             return TruncatedSeries._from_ints(self._re[: order + 1], self._im[: order + 1], self._den)
         return TruncatedSeries(self.coeffs[: order + 1], self.mode, order)
 
-    def _term(self, k):
-        """c_k as a constant series of this series' order."""
-        if self.mode == EXACT:
-            pad = [0] * self.order
-            return TruncatedSeries._from_ints([self._re[k]] + pad, [self._im[k]] + pad, self._den)
-        return TruncatedSeries.constant(self.coeffs[k], self.order, self.mode)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -411,10 +431,16 @@ class TruncatedSeries:
         return TruncatedSeries((0j,) + self.coeffs, self.mode, self.order + 1)
 
     def compose(self, inner):
-        """self(inner(z)), truncated at the smaller of the two orders.
+        """self(inner(z)), truncated at the smaller order n of the two.
 
-        The inner series must vanish at 0, otherwise truncation would not
-        commute with composition.
+        The inner series g must vanish at 0, otherwise truncation would not
+        commute with composition.  Baby-step/giant-step (Brent-Kung,
+        Paterson-Stockmeyer): the powers g^0..g^(k-1) and the giant step g^k
+        cost k-1 series products.  Each block of k coefficients of self is a
+        scalar combination of those powers, with no product, and Horner's
+        rule over the blocks in g^k costs ceil((n+1)/k) - 1 more.  Exact mode
+        takes k = ceil(sqrt(n+1)), about 2 sqrt(n) products in all; approx
+        mode takes k = 1, plain Horner with n products.
         """
         if self.mode != inner.mode:
             raise ArgumentError("mode mismatch")
@@ -423,9 +449,49 @@ class TruncatedSeries:
         n = min(self.order, inner.order)
         f = self.truncate(n)
         g = inner.truncate(n)
-        out = f._term(n)
-        for k in range(n - 1, -1, -1):
-            out = out * g + f._term(k)
+        k = isqrt(n) + 1 if self.mode == EXACT else 1  # approx: Horner; see the module docstring
+        powers = [TruncatedSeries.constant(_one(self.mode), n, self.mode), g]
+        while len(powers) <= k:
+            powers.append(powers[-1] * g)
+        giant = powers.pop()
+        *blocks, out = f._block_sums(powers)
+        for block in reversed(blocks):
+            out = out * giant + block
+        return out
+
+    def binomial_transform(self):
+        """self(z/(1-z)), same order, with no series product.
+
+        [z^n] self(z/(1-z)) = sum_k c_k C(n-1, k-1) for n >= 1: the n-th
+        term is the first entry of the (n-1)-th row of sums of neighbours
+        over c_1..c_N, so the transform costs N^2/2 additions.
+        """
+        if self.mode == EXACT:
+            re, im = _binomial_rows(self._re), _binomial_rows(self._im)
+            return TruncatedSeries._from_ints(re, im, self._den)
+        return TruncatedSeries(_binomial_rows(list(self.coeffs)), APPROX)
+
+    def _block_sums(self, powers):
+        """sum_i c_(jk+i) powers[i] over i < k = len(powers), for each block j of self.
+
+        Exact mode brings the powers over the lcm of their denominators once,
+        so that every block is integer work over one denominator.  Approx
+        mode has blocks of one coefficient, c_j times the constant 1.
+        """
+        if self.mode == APPROX:
+            return [TruncatedSeries.constant(c, self.order, APPROX) for c in self.coeffs]
+        k, top = len(powers), self.order + 1
+        den = lcm(*(p._den for p in powers))
+        scaled = [([x * (den // p._den) for x in p._re], [y * (den // p._den) for y in p._im]) for p in powers]
+        out = []
+        for start in range(0, top, k):
+            re, im = [0] * top, [0] * top
+            for c, (p_re, p_im) in zip(range(start, top), scaled):
+                a, b = self._re[c], self._im[c]
+                if a or b:
+                    re = [r + a * x - b * y for r, x, y in zip(re, p_re, p_im)]
+                    im = [v + a * y + b * x for v, x, y in zip(im, p_re, p_im)]
+            out.append(TruncatedSeries._from_ints(re, im, self._den * den))
         return out
 
     def reciprocal(self):
@@ -467,24 +533,37 @@ class TruncatedSeries:
         """The compositional inverse g with self(g(z)) = z + O(z^{N+1}).
 
         Needs c_0 = 0 and c_1 invertible.  Lagrange reversion: with
-        h = z/self(z), the coefficient g_k is [z^(k-1)] h^k / k, so one
-        reciprocal and the powers of h give every coefficient.
+        h = z/self(z), the coefficient g_k is [z^(k-1)] h^k / k.
+        Baby-step/giant-step (Johansson): with s = ceil(sqrt(N)) and
+        k = j s + i, 0 <= i < s, that coefficient is one dot product of
+        the coefficients of (h^s)^j and h^i.  One reciprocal and the powers
+        h^2..h^s and (h^s)^2..(h^s)^(N // s) give every g_k.  Exact mode
+        takes s = ceil(sqrt(N)), about 2 sqrt(N) series products; approx
+        mode takes s = 1, the N - 1 products of h^2..h^N.
         """
         if self._nonzero(0):
             raise DomainError("compositional inverse needs c_0 = 0")
         if self.order < 1 or not self._nonzero(1):
             raise DomainError("compositional inverse needs c_1 != 0")
+        n = self.order
         h = self.shift_down().reciprocal()
-        power = h
+        s = isqrt(n - 1) + 1 if self.mode == EXACT else 1  # approx: one power at a time
+        baby = [TruncatedSeries.constant(_one(self.mode), n - 1, self.mode), h]
+        while len(baby) <= s:
+            baby.append(baby[-1] * h)
+        giants = [baby[0], baby.pop()]
+        while len(giants) <= n // s:
+            giants.append(giants[-1] * giants[1])
+        pairs = [(giants[k // s], baby[k % s], k) for k in range(1, n + 1)]
         if self.mode == EXACT:
             # g_k = (re + i im)/dens[k], brought over one denominator at the end.
             re, im, dens = [0], [0], [1]
-            for k in range(1, self.order + 1):
-                re.append(power._re[k - 1])
-                im.append(power._im[k - 1])
-                dens.append(power._den * k)
-                if k < self.order:
-                    power = power * h
+            for big, small, k in pairs:
+                a_re, a_im = big._re[:k], big._im[:k]
+                b_re, b_im = small._re[k - 1 :: -1], small._im[k - 1 :: -1]
+                re.append(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)))
+                im.append(sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)))
+                dens.append(big._den * small._den * k)
             den = lcm(*dens)
             return TruncatedSeries._from_ints(
                 [r * (den // d) for r, d in zip(re, dens)],
@@ -492,10 +571,8 @@ class TruncatedSeries:
                 den,
             )
         g = [0j]
-        for k in range(1, self.order + 1):
-            g.append(power.coeffs[k - 1] / k)
-            if k < self.order:
-                power = power * h
+        for big, small, k in pairs:
+            g.append(sum(map(mul, big.coeffs[:k], small.coeffs[k - 1 :: -1])) / k)
         return TruncatedSeries(g, self.mode)
 
     def to_approx(self):

@@ -43,7 +43,7 @@ from .cumulants import (
     phi_moments_from_cfree_cumulants,
 )
 from .errors import ArgumentError, NumericalError, UnsupportedDomainError
-from .series import TruncatedSeries, _one, _zero
+from .series import TruncatedSeries, _one
 
 
 def t_transform(m):
@@ -62,7 +62,7 @@ def moments_from_t(t):
     A t-series with t_0 = 0 forces m_1 = 0 and, through m/z = t(m)(1+m),
     every later moment to zero as well.
     """
-    if not t.coeffs[0]:
+    if not t._nonzero(0):
         return TruncatedSeries.zero(t.order + 1, t.mode)
     t_one_plus_u = t + t.shift_up().truncate(t.order)
     return t_one_plus_u.reciprocal().shift_up().invert_composition()
@@ -72,14 +72,14 @@ def phi_moments_from_ct(ct, m):
     """Rebuild phi-moments 1..order+1 from ct and the psi-moments as zc/(1-zc), c = ct o m."""
     if m.order < ct.order or m.mode != ct.mode:
         raise ArgumentError("psi-moments must reach the order of ct, same mode")
-    if m.coeffs[0]:
+    if m._nonzero(0):
         raise ArgumentError("a psi-moment series must have a vanishing constant term")
     return _moments_from_eta(ct.compose(m).shift_up())
 
 
 def eta(m):
     """The ratio m/(1+m); same order, vanishing constant term."""
-    if m.coeffs[0]:
+    if m._nonzero(0):
         raise ArgumentError("eta expects a series with a vanishing constant term")
     one = TruncatedSeries.constant(_one(m.mode), m.order, m.mode)
     return m * (one + m).reciprocal()
@@ -94,11 +94,6 @@ def _moments_from_eta(e):
 def b_series(M):
     """eta(M)/z -- the shifted boolean-style transform; order drops by 1."""
     return eta(M).shift_down()
-
-
-def _geometric(order, mode):
-    """z/(1-z) truncated: coefficients 0, 1, 1, ..., 1."""
-    return TruncatedSeries([_zero(mode)] + [_one(mode)] * order, mode)
 
 
 def sigma_series(M, m):
@@ -132,9 +127,9 @@ class TransformBundle:
     def __init__(self, M, m):
         if M.order != m.order or M.mode != m.mode:
             raise ArgumentError("phi and psi series must share order and mode")
-        if m.coeffs[0]:
+        if m._nonzero(0):
             raise ArgumentError("the psi-moment series must have a vanishing constant term")
-        if M.coeffs[0]:
+        if M._nonzero(0):
             raise ArgumentError("the phi-moment series must have a vanishing constant term")
         self.M = M
         self.m = m
@@ -167,10 +162,11 @@ class TransformBundle:
         moment modulus (at least 1).
         """
         m = self.m
-        first = m.coeffs[1] if m.order >= 1 else 0
-        if m.mode == "approx" and abs(first) <= 1e-12 * max(1.0, *map(abs, m.coeffs)):
-            first = 0
-        if not first:
+        if m.mode == "approx":
+            invertible = m.order >= 1 and not abs(m.coeffs[1]) <= 1e-12 * max(1.0, *map(abs, m.coeffs))
+        else:
+            invertible = m.order >= 1 and m._nonzero(1)
+        if not invertible:
             raise UnsupportedDomainError("the psi-moment series needs an invertible first moment")
         return m.invert_composition()
 
@@ -198,7 +194,7 @@ class TransformBundle:
         to 1e-8 times the largest coefficient modulus of either route (at
         least 1) -- and the second route is returned.
         """
-        via_ct = self.cT.compose(_geometric(self.order - 1, self.mode))
+        via_ct = self.cT.binomial_transform()
         via_b = self.B.compose(self.eta.invert_composition())
         if self.mode == "exact":
             if via_ct != via_b:

@@ -158,6 +158,17 @@ def test_semigroup_time_zero_is_the_unit_pair(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [[1], [], [1, 0, 0]])
+def test_semigroup_gamma_that_is_not_a_pair_exits_2(tmp_path, capsys, gamma):
+    gen = write(tmp_path / "gen.json", {"gamma": gamma, "sigma": delta("0")})
+    target = write(tmp_path / "target.json", SIGMA_TARGET)
+    assert main(["semigroup", "--gen", gen, "--sigma-target", target, "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: gamma in {gen} must be a pair [re, im]")
+    assert "Traceback" not in captured.err
+
+
 def test_limit_report(tmp_path, capsys):
     report = tmp_path / "report.csv"
     argv = ["limit", "--s", "1/2", "--omega", "1/4", "--n-list", "2,4", "--order", "3", "--out", str(report)]

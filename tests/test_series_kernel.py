@@ -3,8 +3,13 @@
 Every exact op runs on integer numerators over one denominator; here each is
 compared with the plain coefficient-list formula it must reproduce, on fresh
 coefficient lists and on kernel outputs, with numerators near 2^256 and
-denominators up to 2^64 among the draws.
+denominators up to 2^64 among the draws.  Composition and reversion are also
+compared, at every order up to 24, with Horner's rule and the power-by-power
+Lagrange loop run on the kernel, and quarter-turn moments with their
+ComplexRational sums.
 """
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cfreeconv.errors import DomainError
+from cfreeconv.measures import CircleMeasure
 from cfreeconv.series import ComplexRational, TruncatedSeries
 
 # -- the reference: lists of ComplexRational, schoolbook loops ----------------
@@ -214,6 +220,147 @@ def test_eq_and_hash_agree_with_the_coefficients(ab):
     rebuilt = TruncatedSeries.exact(a.coeffs)
     assert a == rebuilt and hash(a) == hash(rebuilt)
     assert (a == b) == (a.coeffs == b.coeffs)
+
+
+# -- compose and reversion at every order up to 24 -------------------------------
+
+
+def seeded_series(rng, order, vanish=()):
+    """An exact series of small Gaussian rationals, zero at the listed indices."""
+    coeffs = [
+        ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(order + 1)
+    ]
+    for k in vanish:
+        if k <= order:
+            coeffs[k] = ZERO
+    return TruncatedSeries.exact(coeffs)
+
+
+def horner(f, g):
+    """f(g) by Horner's rule on the kernel: one series product per coefficient of f."""
+    n = min(f.order, g.order)
+    f, g = f.truncate(n), g.truncate(n)
+    out = TruncatedSeries.constant(f.coeffs[n], n, f.mode)
+    for k in range(n - 1, -1, -1):
+        out = out * g + TruncatedSeries.constant(f.coeffs[k], n, f.mode)
+    return out
+
+
+def lagrange(f):
+    """The reversion of f from every power of h = z/f: g_k = [z^(k-1)] h^k / k."""
+    h = f.shift_down().reciprocal()
+    g, power = [0], h
+    for k in range(1, f.order + 1):
+        g.append(power.coeffs[k - 1] / k)
+        power = power * h
+    return TruncatedSeries(g, f.mode)
+
+
+def compose_cases(rng, n):
+    """(outer, inner) pairs at order n: plain, mixed orders, zero blocks and c_1 = 0."""
+    k = math.isqrt(n) + 1  # ceil(sqrt(n + 1)) coefficients per block of an exact composition
+    outer = [(n, ()), (n + 3, ()), (n, ()), (n, range(k, n + 1 - k)), (n, range(n)), (n, ())]
+    inner = [(n, [0]), (n, [0]), (n + 2, [0]), (n, [0]), (n, [0]), (n, [0, 1])]
+    # The fourth outer series keeps only its first and last blocks, the fifth only its top term.
+    for (m, zeros), (p, inner_zeros) in zip(outer, inner):
+        yield seeded_series(rng, m, zeros), seeded_series(rng, p, inner_zeros)
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_compose_is_horner_at_every_order(n):
+    # n + 1 = k^2 at n = 3, 8, 15, 24 fills the last block exactly.
+    rng = random.Random(1000 + n)
+    for f, g in compose_cases(rng, n):
+        assert f.compose(g) == horner(f, g)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_invert_composition_is_lagrange_at_every_order(n):
+    rng = random.Random(2000 + n)
+    for vanish in ([0], [0, 2], [0] + list(range(2, n + 1))):
+        f = seeded_series(rng, n, vanish=vanish)
+        if f.coeffs[1]:
+            assert f.invert_composition() == lagrange(f)
+
+
+def close(result, reference, rel=1e-12):
+    """Approx coefficients within rel times the largest modulus (at least 1) of the exact reference."""
+    reference = reference.to_approx().coeffs
+    scale = max(1.0, *map(abs, reference))
+    return result.mode == "approx" and all(abs(x - y) <= rel * scale for x, y in zip(result.coeffs, reference))
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_approx_compose_and_reversion_follow_the_references(n):
+    rng = random.Random(3000 + n)
+    for f, g in compose_cases(rng, n):
+        fa, ga = f.to_approx(), g.to_approx()
+        assert fa.compose(ga) == horner(fa, ga)  # the rounding of Horner's rule, not of giant steps
+        assert close(fa.compose(ga), horner(f, g))
+    if n:
+        f = seeded_series(rng, n, vanish=[0])
+        if f.coeffs[1]:
+            fa = f.to_approx()
+            assert fa.invert_composition() == lagrange(fa)
+            assert close(fa.invert_composition(), lagrange(f))
+
+
+def series_products(monkeypatch, op):
+    """Calls of TruncatedSeries.__mul__ made by op()."""
+    count = [0]
+    product = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    op()
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_exact_compose_and_reversion_make_about_two_sqrt_n_products(monkeypatch):
+    n = 48
+    rng = random.Random(48)
+    f, g = seeded_series(rng, n), seeded_series(rng, n, vanish=[0])
+    bound = 2 * math.ceil(math.sqrt(n + 1)) + 1
+    assert series_products(monkeypatch, lambda: f.compose(g)) <= bound
+    assert series_products(monkeypatch, g.invert_composition) <= bound
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_binomial_transform_is_composition_with_z_over_one_minus_z(n):
+    rng = random.Random(4000 + n)
+    geometric = TruncatedSeries.exact([0] + [1] * n)
+    for f in (seeded_series(rng, n), seeded_series(rng, n, vanish=range(n))):
+        assert f.binomial_transform() == f.compose(geometric)
+
+
+# -- quarter-turn moments as integers -------------------------------------------
+
+
+def ref_quarter_turn_moments(atoms, order):
+    """m_k = sum_j w_j i^(q_j k) in ComplexRational arithmetic, with m_0 = 0."""
+    unit = ComplexRational(0, 1)
+    return [ZERO] + [
+        sum((ComplexRational(w) * unit ** int(4 * t * k) for t, w in atoms), ZERO) for k in range(1, order + 1)
+    ]
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("probability", [True, False])
+def test_quarter_turn_moments_are_the_complex_rational_sums(atoms, probability):
+    rng = random.Random(atoms + 10 * probability)
+    for _ in range(10):
+        turns = rng.sample([Fraction(q, 4) for q in range(4)], atoms)
+        weights = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in turns]
+        if probability:
+            weights = [w / sum(weights) for w in weights]
+        law = CircleMeasure.atomic(list(zip(turns, weights)), probability=probability)
+        for order in (1, 3, 4, 5, 13):
+            assert agrees(law.moment_series(order), ref_quarter_turn_moments(law.atoms, order))
 
 
 # -- asymptotics: scalars built per op ------------------------------------------
