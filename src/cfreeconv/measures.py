@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
-from .series import ComplexRational, TruncatedSeries, _coerce, _one
+from .series import ComplexRational, TruncatedSeries, _coerce, _json_fraction, _one
 from .transforms import (
     TransformBundle,
     _moments_from_eta,
@@ -215,7 +215,10 @@ class CircleMeasure:
         kind = data.get("type")
         if kind == "atomic":
             return cls.atomic(
-                [(Fraction(a["turns"]), Fraction(a["weight"])) for a in data["atoms"]],
+                [
+                    (_json_fraction(a["turns"], "atom turns"), _json_fraction(a["weight"], "atom weight"))
+                    for a in data["atoms"]
+                ],
                 probability=probability,
             )
         if kind == "haar":

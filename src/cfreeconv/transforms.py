@@ -9,7 +9,14 @@ over one compositional inverse m^-1:
     ct = b(M) o m^-1,
 
 both one order lower than the input moments.  (In cumulant terms they are
-(R/z) o R^-1 and (cR/z) o R^-1.)  Their value is that the multiplicative
+(R/z) o R^-1 and (cR/z) o R^-1.)  Exact mode computes t by the right-hand
+side, one reciprocal of (1 + u) m^-1(u)/u, with no eta(m) and no
+composition; ct reuses the same reversion.  Approx mode keeps the
+composition b(m) o m^-1: in floats the closed form moves rounding enough to
+flip ill-conditioned results across their checks (over the perfbench
+approx_highorder pools of seeds 1700-1719, 4,560 operations, it changed
+the outcome of 29 and passes fell from 4,069 to 4,064), so it waits for a
+precision budget.  Their value is that the multiplicative
 convolution of laws turns into the coefficientwise product of these
 series, which the test-suite checks against the partition-sum route.
 Moments come back in closed form,
@@ -172,7 +179,11 @@ class TransformBundle:
 
     @functools.cached_property
     def T(self):
-        return self.eta.shift_down().compose(self._m_inverse)
+        """u / ((1 + u) m^-1(u)) in exact mode; eta(m)/z o m^-1 in approx mode."""
+        if self.mode == "approx":  # the closed form moves rounding; see the module docstring
+            return self.eta.shift_down().compose(self._m_inverse)
+        g = self._m_inverse.shift_down()
+        return (g + g.shift_up().truncate(g.order)).reciprocal()
 
     @functools.cached_property
     def cT(self):

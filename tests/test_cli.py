@@ -382,16 +382,30 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["idiv", "--gamma", "nan,0", "--kind", "free"], "gamma must sit on the unit circle"),
         (["transform", "--in", "{poisson}", "--what", "r", "--order", "2"], "the kernel parameter needs |alpha| < 1"),
         (["transform", "--in", "{moments}", "--what", "r", "--order", "1"], "moments of a law on the circle are bounded by 1"),
+        (["convolve", "--kind", "free", "--a", "{turns}", "--b", "{point}"], "atom turns must be a finite number, not inf"),
+        (["convolve", "--kind", "cfree", "--a", "{pair}", "--b", "{pair}"], "atom turns must be a finite number, not inf"),
+        (["idiv", "--gamma", "1,0", "--sigma", "{weight}", "--kind", "free"], "atom weight must be a finite number, not inf"),
+        (["semigroup", "--gen", "{gen}", "--sigma-target", "{target}", "--t", "1"], "a series coefficient must be a finite number, not inf"),
     ],
-    ids=["gamma", "poisson", "moments"],
+    ids=["gamma", "poisson", "moments", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target"],
 )
 def test_nan_input_exits_2(tmp_path, capsys, argv, message):
-    # json.load reads the bare token NaN as float("nan").
-    poisson = tmp_path / "poisson.json"
-    poisson.write_text('{"type": "poisson", "alpha": [NaN, 0]}')
-    moments = tmp_path / "moments.json"
-    moments.write_text('{"type": "moments", "values": [[NaN, 0]]}')
-    assert main([arg.format(poisson=poisson, moments=moments) for arg in argv]) == 2
+    # json.load reads the bare token NaN as float("nan"), and a number too
+    # large for a double, such as 1e400, as float("inf").
+    paths = {}
+    for name, text in {
+        "poisson": '{"type": "poisson", "alpha": [NaN, 0]}',
+        "moments": '{"type": "moments", "values": [[NaN, 0]]}',
+        "turns": '{"type": "atomic", "atoms": [{"turns": 1e400, "weight": 1}]}',
+        "point": '{"type": "atomic", "atoms": [{"turns": 0, "weight": 1}]}',
+        "pair": '{"mu": {"type": "atomic", "atoms": [{"turns": 1e400, "weight": 1}]}, "nu": {"type": "haar"}}',
+        "weight": '{"type": "atomic", "atoms": [{"turns": 0, "weight": 1e400}]}',
+        "gen": '{"gamma": [1, 0]}',
+        "target": '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], [1e400, 0]]}',
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

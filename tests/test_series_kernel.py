@@ -13,12 +13,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cfreeconv.errors import DomainError
 from cfreeconv.measures import CircleMeasure
-from cfreeconv.series import ComplexRational, TruncatedSeries
+from cfreeconv.series import SCHOOLBOOK_MAX, ComplexRational, TruncatedSeries
 
 # -- the reference: lists of ComplexRational, schoolbook loops ----------------
 
@@ -130,7 +130,36 @@ SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[Healt
 # -- ops -----------------------------------------------------------------------
 
 
+def near_big(count, sign):
+    """count scalars with numerators near sign * 2^256 over small denominators."""
+    return [
+        ComplexRational(Fraction(sign * (BIG + 3 * k + 1), k + 1), Fraction(-sign * (BIG - 5 * k), 2 * k + 3))
+        for k in range(count)
+    ]
+
+
+def dense(count, sign):
+    return TruncatedSeries.exact(near_big(count, sign))
+
+
+def constant(count):
+    return TruncatedSeries.exact(near_big(1, 1), order=count - 1)
+
+
+def monomial(count):
+    return TruncatedSeries.exact([ZERO] * (count // 2) + near_big(1, -1), order=count - 1)
+
+
 @SETTINGS
+# Operand lengths on both sides of the schoolbook/Kronecker crossover, and
+# sparse operands, which the schoolbook side multiplies in O(N).
+@example((dense(SCHOOLBOOK_MAX - 1, 1), dense(SCHOOLBOOK_MAX - 1, -1)))
+@example((dense(SCHOOLBOOK_MAX, 1), dense(SCHOOLBOOK_MAX, -1)))
+@example((dense(SCHOOLBOOK_MAX + 1, 1), dense(SCHOOLBOOK_MAX + 1, -1)))
+@example((constant(SCHOOLBOOK_MAX), dense(SCHOOLBOOK_MAX, -1)))
+@example((dense(SCHOOLBOOK_MAX, 1), monomial(SCHOOLBOOK_MAX)))
+@example((constant(SCHOOLBOOK_MAX + 1), monomial(SCHOOLBOOK_MAX + 1)))
+@example((monomial(SCHOOLBOOK_MAX + 1), dense(SCHOOLBOOK_MAX + 1, -1)))
 @given(pairs())
 def test_mul(ab):
     a, b = ab

@@ -12,6 +12,7 @@ from cfreeconv.cumulants import (
     phi_moments_from_cfree_cumulants,
 )
 from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
+from cfreeconv.measures import CircleMeasure
 from cfreeconv.oracles import (
     phi_moments_via_linked_blocks,
     psi_moments_via_linked_blocks,
@@ -184,3 +185,24 @@ def test_bundle_reverts_twice_for_t_ct_and_sigma(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "invert_composition", counted)
     bundle.T, bundle.cT, bundle.Sigma
     assert reverted == [bundle.m, bundle.eta]
+
+
+@pytest.mark.parametrize("order", [1, 2, 8, 15, 16, 17, 20, 32])
+def test_t_equals_its_definition(order):
+    # Exact T is the closed form u/((1 + u) m^-1(u)); it must equal b(m) o m^-1
+    # at every coefficient, with orders on both sides of the schoolbook
+    # crossover of the series product.  Approx T is that composition itself.
+    rng = random.Random(62 + order)
+    quarter = [Fraction(k, 4) for k in range(4)]
+    laws = []
+    while len(laws) < 2:
+        weights = [Fraction(rng.randint(1, 9)) for _ in quarter]
+        law = CircleMeasure.atomic([(t, w / sum(weights)) for t, w in zip(quarter, weights)])
+        if law.moment_series(1).coeffs[1]:
+            laws.append(law.moment_series(order, "exact"))
+    for m in laws + [random_vanishing(rng, order, c1_nonzero=True)]:
+        assert TransformBundle(m, m).T == b_series(m).compose(m.invert_composition())
+        m = m.to_approx()
+        t = TransformBundle(m, m).T
+        want = b_series(m).compose(m.invert_composition())
+        assert t.mode == "approx" and t.coeffs == want.coeffs
