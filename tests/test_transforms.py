@@ -190,8 +190,8 @@ def test_bundle_reverts_twice_for_t_ct_and_sigma(monkeypatch):
 @pytest.mark.parametrize("order", [1, 2, 8, 15, 16, 17, 20, 32])
 def test_t_equals_its_definition(order):
     # Exact T is the closed form u/((1 + u) m^-1(u)); it must equal b(m) o m^-1
-    # at every coefficient, with orders on both sides of the schoolbook
-    # crossover of the series product.  Approx T is that composition itself.
+    # at every coefficient, at short orders and long ones.  Approx T is that
+    # composition itself.
     rng = random.Random(62 + order)
     quarter = [Fraction(k, 4) for k in range(4)]
     laws = []
