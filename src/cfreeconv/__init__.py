@@ -25,18 +25,16 @@ from .partitions import (
     partition_from_json,
 )
 from .series import ComplexRational, TruncatedSeries
-from .cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-    moments_from_free_cumulants,
-    phi_moments_from_cfree_cumulants,
-)
 from .transforms import (
     TransformBundle,
     b_series,
+    cfree_cumulants_from_moments,
     ct_transform,
     eta,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
     moments_from_t,
+    phi_moments_from_cfree_cumulants,
     phi_moments_from_ct,
     sigma_series,
     t_transform,

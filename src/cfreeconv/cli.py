@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_suites
-from .cumulants import cfree_cumulants_from_moments, free_cumulants_from_moments
 from .errors import ArgumentError
 from .measures import (
     CircleMeasure,
@@ -38,6 +37,7 @@ from .partitions import (
 )
 from .series import TruncatedSeries
 from .transforms import b_series, ct_transform, eta, sigma_series, t_transform
+from .transforms import cfree_cumulants_from_moments, free_cumulants_from_moments
 
 
 def _print_json(payload):

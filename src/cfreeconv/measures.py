@@ -274,7 +274,10 @@ class IdGenerator:
         """Generator of the factor-th convolution power (principal root)."""
         if factor < 0:
             raise ArgumentError("generator scaling needs a nonnegative factor")
-        gamma = cmath.exp(factor * cmath.log(_as_complex(self.gamma)))
+        try:
+            gamma = cmath.exp(factor * cmath.log(_as_complex(self.gamma)))
+        except OverflowError:
+            raise NumericalError("scaling the generator overflows double precision") from None
         atoms = [(t, w * Fraction(factor)) for t, w in self.sigma.atoms]
         return IdGenerator(gamma, CircleMeasure.atomic(atoms, probability=False))
 
@@ -292,7 +295,10 @@ def series_exp(f):
     if f.mode != "approx":
         raise ArgumentError("series exponentials run in approx mode only")
     c = f.coeffs
-    out = [cmath.exp(c[0])] + [0j] * f.order
+    try:
+        out = [cmath.exp(c[0])] + [0j] * f.order
+    except OverflowError:
+        raise NumericalError("a series exponential overflows double precision") from None
     for n in range(1, f.order + 1):
         acc = 0j
         for k in range(1, n + 1):
@@ -436,7 +442,10 @@ def herglotz_exp(g, sign, order=8):
     """
     if sign not in (1, -1):
         raise ArgumentError("sign must be +1 or -1")
-    mass = float(sum(w for _, w in g.sigma.atoms))
+    try:
+        mass = float(sum(w for _, w in g.sigma.atoms))
+    except OverflowError:
+        raise NumericalError("the generator's mass overflows double precision") from None
     if order >= 1:
         sig = g.sigma.moment_series(order, "approx")
         exponent = TruncatedSeries.approx([mass] + [2 * c for c in sig.coeffs[1:]])

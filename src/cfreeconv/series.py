@@ -588,6 +588,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data):
+        """The series ``to_json`` wrote: its order is one less than its coefficient count."""
+        order = data["order"]
+        if type(order) is not int or order != len(data["coeffs"]) - 1:
+            raise ArgumentError(f"a series order must be its coefficient count less one, not {order!r}")
         mode = data["mode"]
         if mode == EXACT:
             coeffs = [
@@ -598,7 +602,7 @@ class TruncatedSeries:
             coeffs = [complex(re, im) for re, im in data["coeffs"]]
         else:
             raise ArgumentError(f"unknown mode {mode!r}")
-        return cls(coeffs, mode, data["order"])
+        return cls(coeffs, mode)
 
 
 class _ExactSeries(TruncatedSeries):

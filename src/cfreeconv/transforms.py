@@ -1,9 +1,27 @@
 """Multiplicative transforms of one- and two-state laws.
 
-Everything here is a reparametrization of the moment data of a law whose
-first moment is invertible.  Writing m for the psi-moments, M for the
-phi-moments and b(M) = M / (z (1 + M)), the two workhorses are closed forms
-over one compositional inverse m^-1:
+Everything here is a reparametrization of the moment data of a law.
+Writing m for the psi-moments, M for the phi-moments and w = z (1 + m),
+the one-state (psi) cumulants r_1, r_2, ... and the two-state (phi-side)
+cumulants cr_1, cr_2, ... are tied to the moments by the functional
+identities
+
+    R(z (1 + m(z))) = m(z),
+    cR(z (1 + m(z))) (1 + M(z)) = M(z) (1 + m(z)).
+
+Each direction is a closed form over one series reversion:
+
+    R  = m o w^-1,                        m = R o (u / (1 + R(u)))^-1,
+    cR = [M (1 + m) / (1 + M)] o w^-1,    M = c / (1 + m - c),  c = cR o w,
+
+and R and cR of one law share the reversion w^-1.  The equivalent
+summation formulas over non-crossing partitions -- moments as
+partition-indexed cumulant products, with the phi-side reading exterior
+blocks in the phi family and interior blocks in the psi family -- live in
+:mod:`oracles`; the test-suite insists the two routes agree.
+
+When the first psi-moment is invertible, with b(M) = M / (z (1 + M)), the
+two workhorses are closed forms over one compositional inverse m^-1:
 
     t  = b(m) o m^-1  =  u / ((1 + u) m^-1(u)),
     ct = b(M) o m^-1,
@@ -36,21 +54,58 @@ psi-part.  sigma is computed along both routes, and a disagreement raises
 :class:`TransformBundle` is the one law object: it holds the moments
 (M, m) of a two-state law, built ``from_moments`` or ``from_cumulants``,
 and derives every parametrisation above from them on first read.
+``free_cumulants_from_moments``, ``cfree_cumulants_from_moments``,
 ``t_transform``, ``ct_transform`` and ``sigma_series`` each read one field
-of a bundle.
+of a bundle.  The inverse forms, from cumulants or from t and ct back to
+moments, are module functions that ``from_cumulants``, ``multiply`` and
+``power`` call.
 """
 from __future__ import annotations
 
 import functools
 
-from .cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-    moments_from_free_cumulants,
-    phi_moments_from_cfree_cumulants,
-)
 from .errors import ArgumentError, NumericalError, UnsupportedDomainError
 from .series import TruncatedSeries, _one
+
+
+def _check_vanishing(s, what):
+    if s._nonzero(0):
+        raise ArgumentError(f"{what} must have a vanishing constant term")
+
+
+def _one_plus(s):
+    return TruncatedSeries.constant(_one(s.mode), s.order, s.mode) + s
+
+
+def _w(m):
+    """The cumulant argument z (1 + m)."""
+    return TruncatedSeries.identity(m.order, m.mode) * _one_plus(m)
+
+
+def free_cumulants_from_moments(m):
+    """The cumulant series R = m o w^-1, which solves R(w) = m for w = z(1+m)."""
+    return TransformBundle(m, m).R
+
+
+def moments_from_free_cumulants(r):
+    """Invert :func:`free_cumulants_from_moments`: m = R o (u/(1+R(u)))^-1."""
+    _check_vanishing(r, "a cumulant series")
+    u_over = TruncatedSeries.identity(r.order, r.mode) * _one_plus(r).reciprocal()
+    return r.compose(u_over.invert_composition())
+
+
+def cfree_cumulants_from_moments(M, m):
+    """The phi-side cumulant series cR = [M(1+m)/(1+M)] o w^-1."""
+    return TransformBundle(M, m).cR
+
+
+def phi_moments_from_cfree_cumulants(cr, m):
+    """Invert :func:`cfree_cumulants_from_moments`: M = c/(1+m-c), c = cR o w."""
+    _check_vanishing(cr, "a cumulant series")
+    if cr.order != m.order or cr.mode != m.mode:
+        raise ArgumentError("cumulant and psi series must share order and mode")
+    c = cr.compose(_w(m))
+    return c * (_one_plus(m) - c).reciprocal()
 
 
 def t_transform(m):
@@ -79,17 +134,14 @@ def phi_moments_from_ct(ct, m):
     """Rebuild phi-moments 1..order+1 from ct and the psi-moments as zc/(1-zc), c = ct o m."""
     if m.order < ct.order or m.mode != ct.mode:
         raise ArgumentError("psi-moments must reach the order of ct, same mode")
-    if m._nonzero(0):
-        raise ArgumentError("a psi-moment series must have a vanishing constant term")
+    _check_vanishing(m, "a psi-moment series")
     return _moments_from_eta(ct.compose(m).shift_up())
 
 
 def eta(m):
     """The ratio m/(1+m); same order, vanishing constant term."""
-    if m._nonzero(0):
-        raise ArgumentError("eta expects a series with a vanishing constant term")
-    one = TruncatedSeries.constant(_one(m.mode), m.order, m.mode)
-    return m * (one + m).reciprocal()
+    _check_vanishing(m, "the argument of eta")
+    return m * _one_plus(m).reciprocal()
 
 
 def _moments_from_eta(e):
@@ -122,7 +174,7 @@ class TransformBundle:
     ``T``, ``cT``, ``B`` and ``Sigma`` sit one order below, since the top
     coefficient of a shifted composition is not determined by the data.
     ``T``, ``cT`` and ``Sigma`` share one reversion of ``m`` (``Sigma`` adds
-    one of ``eta``), and only ``R`` and ``cR`` compute cumulants.  A
+    one of ``eta``), and ``R`` and ``cR`` share one of z(1 + m).  A
     vanishing first psi-moment is accepted, but then ``T``, ``cT`` and
     ``Sigma`` raise :class:`UnsupportedDomainError`.
     ``multiply`` is the multiplicative convolution of laws: both shifted
@@ -134,10 +186,8 @@ class TransformBundle:
     def __init__(self, M, m):
         if M.order != m.order or M.mode != m.mode:
             raise ArgumentError("phi and psi series must share order and mode")
-        if m._nonzero(0):
-            raise ArgumentError("the psi-moment series must have a vanishing constant term")
-        if M._nonzero(0):
-            raise ArgumentError("the phi-moment series must have a vanishing constant term")
+        _check_vanishing(m, "the psi-moment series")
+        _check_vanishing(M, "the phi-moment series")
         self.M = M
         self.m = m
 
@@ -154,12 +204,20 @@ class TransformBundle:
         return bundle
 
     @functools.cached_property
+    def _w_inverse(self):
+        """The one reversion of w = z(1 + m), shared by ``R`` and ``cR``."""
+        return _w(self.m).invert_composition()
+
+    @functools.cached_property
     def R(self):
-        return free_cumulants_from_moments(self.m)
+        """m o w^-1."""
+        return self.m.compose(self._w_inverse)
 
     @functools.cached_property
     def cR(self):
-        return cfree_cumulants_from_moments(self.M, self.m)
+        """[M (1 + m) / (1 + M)] o w^-1."""
+        M, m = self.M, self.m
+        return (M * _one_plus(m) * _one_plus(M).reciprocal()).compose(self._w_inverse)
 
     @functools.cached_property
     def _m_inverse(self):

@@ -18,12 +18,6 @@ import math
 import random
 from fractions import Fraction
 
-from .cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-    moments_from_free_cumulants,
-    phi_moments_from_cfree_cumulants,
-)
 from .errors import ArgumentError
 from .measures import (
     CircleMeasure,
@@ -63,8 +57,12 @@ from .series import ComplexRational, TruncatedSeries
 from .transforms import (
     TransformBundle,
     b_series,
+    cfree_cumulants_from_moments,
     ct_transform,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
     moments_from_t,
+    phi_moments_from_cfree_cumulants,
     phi_moments_from_ct,
     sigma_series,
     t_transform,

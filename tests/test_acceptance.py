@@ -10,12 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-from cfreeconv.cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-    moments_from_free_cumulants,
-    phi_moments_from_cfree_cumulants,
-)
 from cfreeconv.measures import (
     CircleMeasure,
     IdGenerator,
@@ -54,9 +48,13 @@ from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import (
     TransformBundle,
     b_series,
+    cfree_cumulants_from_moments,
     ct_transform,
     eta,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
     moments_from_t,
+    phi_moments_from_cfree_cumulants,
     phi_moments_from_ct,
     t_transform,
 )

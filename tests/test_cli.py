@@ -386,12 +386,23 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["convolve", "--kind", "cfree", "--a", "{pair}", "--b", "{pair}"], "atom turns must be a finite number, not inf"),
         (["idiv", "--gamma", "1,0", "--sigma", "{weight}", "--kind", "free"], "atom weight must be a finite number, not inf"),
         (["semigroup", "--gen", "{gen}", "--sigma-target", "{target}", "--t", "1"], "a series coefficient must be a finite number, not inf"),
+        (["idiv", "--gamma", "1,0", "--sigma", "{heavy}", "--kind", "free"], "a series exponential overflows double precision"),
+        (["idiv", "--gamma", "1,0", "--sigma", "{huge}", "--kind", "free"], "the generator's mass overflows double precision"),
+        (["semigroup", "--gen", "{atoms}", "--sigma-target", "{short}", "--t", "1e30", "--order", "3"],
+         "a series exponential overflows double precision"),
+        (["semigroup", "--gen", "{atoms}", "--sigma-target", "{short}", "--t", "1e400", "--order", "3"],
+         "scaling the generator overflows double precision"),
+        (["semigroup", "--gen", "{atoms}", "--sigma-target", "{padded}", "--t", "1", "--order", "3"],
+         "a series order must be its coefficient count less one, not 5"),
     ],
-    ids=["gamma", "poisson", "moments", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target"],
+    ids=["gamma", "poisson", "moments", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
+         "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order"],
 )
 def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     # json.load reads the bare token NaN as float("nan"), and a number too
-    # large for a double, such as 1e400, as float("inf").
+    # large for a double, such as 1e400, as float("inf").  Weights and times
+    # given as fraction strings or flags stay finite, and overflow only where
+    # they meet a double.
     paths = {}
     for name, text in {
         "poisson": '{"type": "poisson", "alpha": [NaN, 0]}',
@@ -402,6 +413,11 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
         "weight": '{"type": "atomic", "atoms": [{"turns": 0, "weight": 1e400}]}',
         "gen": '{"gamma": [1, 0]}',
         "target": '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], [1e400, 0]]}',
+        "heavy": '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e40"}]}',
+        "huge": '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e400"}]}',
+        "atoms": '{"gamma": [1, 0], "sigma": {"type": "atomic", "atoms": [{"turns": "1/3", "weight": "1/4"}]}}',
+        "short": json.dumps(SIGMA_TARGET),
+        "padded": json.dumps(dict(SIGMA_TARGET, order=5)),
     }.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
@@ -409,3 +425,4 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+

@@ -4,10 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cfreeconv.cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-)
 from cfreeconv.errors import DomainError
 from cfreeconv.oracles import (
     Kappa,
@@ -19,7 +15,11 @@ from cfreeconv.oracles import (
 )
 from cfreeconv.partitions import NCPartition, group_nc_s_by_join
 from cfreeconv.series import ComplexRational, TruncatedSeries
-from cfreeconv.transforms import TransformBundle
+from cfreeconv.transforms import (
+    TransformBundle,
+    cfree_cumulants_from_moments,
+    free_cumulants_from_moments,
+)
 from cfreeconv.verify import random_vanishing
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cfreeconv import measures
-from cfreeconv.cumulants import free_cumulants_from_moments
 from cfreeconv.errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
 from cfreeconv.measures import (
     CircleMeasure,
@@ -30,7 +29,7 @@ from cfreeconv.measures import (
 )
 from cfreeconv.oracles import product_psi_cumulants
 from cfreeconv.series import ComplexRational, TruncatedSeries
-from cfreeconv.transforms import sigma_series
+from cfreeconv.transforms import free_cumulants_from_moments, sigma_series
 
 
 def q(re, im=0):

@@ -1,16 +1,12 @@
-"""Transform layer: t/ct, moment recurrences, linked-block sums, sigma."""
+"""Transform layer: cumulants, t/ct, moment recurrences, linked-block sums, sigma."""
+import importlib.util
 import random
 from fractions import Fraction
 
 import pytest
 
+import cfreeconv
 from cfreeconv import transforms
-from cfreeconv.cumulants import (
-    cfree_cumulants_from_moments,
-    free_cumulants_from_moments,
-    moments_from_free_cumulants,
-    phi_moments_from_cfree_cumulants,
-)
 from cfreeconv.errors import ArgumentError, DomainError, UnsupportedDomainError
 from cfreeconv.measures import CircleMeasure
 from cfreeconv.oracles import (
@@ -21,9 +17,13 @@ from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import (
     TransformBundle,
     b_series,
+    cfree_cumulants_from_moments,
     ct_transform,
     eta,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
     moments_from_t,
+    phi_moments_from_cfree_cumulants,
     phi_moments_from_ct,
     sigma_series,
     t_transform,
@@ -143,8 +143,7 @@ def test_bundle_fields_match_free_functions(monkeypatch):
     M = random_vanishing(rng, 6)
     bundle = TransformBundle.from_moments(M, m)
     with monkeypatch.context() as patch:  # a product never reads R or cR
-        for name in ("free_cumulants_from_moments", "cfree_cumulants_from_moments"):
-            patch.setattr(transforms, name, None)
+        patch.setattr(TransformBundle, "_w_inverse", None)
         bundle.multiply(bundle)
         bundle.power(3)
     assert bundle.T == t_transform(m)
@@ -206,3 +205,81 @@ def test_t_equals_its_definition(order):
         t = TransformBundle(m, m).T
         want = b_series(m).compose(m.invert_composition())
         assert t.mode == "approx" and t.coeffs == want.coeffs
+
+
+def quarter_turn_moments(rng, order):
+    quarter = [Fraction(k, 4) for k in range(4)]
+    weights = [Fraction(rng.randint(1, 9)) for _ in quarter]
+    law = CircleMeasure.atomic([(t, w / sum(weights)) for t, w in zip(quarter, weights)])
+    return law.moment_series(order, "exact")
+
+
+def two_reversion_cumulants(M, m):
+    """R and cR as two separate closed forms, each over its own reversion of z(1 + m)."""
+
+    def one_plus(s):
+        return TruncatedSeries.constant(1, s.order, s.mode) + s
+
+    def w_inverse():
+        return (TruncatedSeries.identity(m.order, m.mode) * one_plus(m)).invert_composition()
+
+    return m.compose(w_inverse()), (M * one_plus(m) * one_plus(M).reciprocal()).compose(w_inverse())
+
+
+def float_bits(series):
+    return [(c.real.hex(), c.imag.hex()) for c in series.coeffs]
+
+
+def test_bundle_reverts_once_for_r_and_cr(monkeypatch):
+    rng = random.Random(63)
+    m = random_vanishing(rng, 8, c1_nonzero=True)
+    bundle = TransformBundle.from_moments(random_vanishing(rng, 8), m)
+    true_invert = TruncatedSeries.invert_composition
+    reverted = []
+
+    def counted(series):
+        reverted.append(series)
+        return true_invert(series)
+
+    monkeypatch.setattr(TruncatedSeries, "invert_composition", counted)
+    bundle.R, bundle.cR
+    one = TruncatedSeries.constant(1, 8, "exact")
+    assert reverted == [TruncatedSeries.identity(8, "exact") * (one + m)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 8, 16])
+def test_r_and_cr_equal_the_two_reversion_forms(order):
+    # Exact R and cR are == to the forms that revert z(1 + m) once each, and
+    # approx ones are bit-identical to them; the last psi series has m_1 = 0.
+    rng = random.Random(70 + order)
+    flat = TruncatedSeries.exact([0, 0] + list(random_vanishing(rng, order).coeffs[2:]))
+    pairs = [
+        (quarter_turn_moments(rng, order), quarter_turn_moments(rng, order)),
+        (random_vanishing(rng, order), random_vanishing(rng, order, c1_nonzero=True)),
+        (quarter_turn_moments(rng, order), flat),
+    ]
+    for M, m in pairs:
+        bundle = TransformBundle.from_moments(M, m)
+        assert (bundle.R, bundle.cR) == two_reversion_cumulants(M, m)
+        assert free_cumulants_from_moments(m) == bundle.R
+        assert cfree_cumulants_from_moments(M, m) == bundle.cR
+        M, m = M.to_approx(), m.to_approx()
+        bundle = TransformBundle.from_moments(M, m)
+        R, cR = two_reversion_cumulants(M, m)
+        assert bundle.R.mode == bundle.cR.mode == "approx"
+        assert float_bits(bundle.R) == float_bits(R)
+        assert float_bits(bundle.cR) == float_bits(cR)
+
+
+def test_package_names_resolve_and_cumulants_live_in_transforms():
+    for name in cfreeconv.__all__:
+        assert hasattr(cfreeconv, name), name
+    for name in (
+        "free_cumulants_from_moments",
+        "cfree_cumulants_from_moments",
+        "moments_from_free_cumulants",
+        "phi_moments_from_cfree_cumulants",
+    ):
+        assert name in cfreeconv.__all__
+        assert getattr(cfreeconv, name) is getattr(transforms, name)
+    assert importlib.util.find_spec("cfreeconv.cumulants") is None
