@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as verify_suites
 from .errors import ArgumentError
 from .measures import (
     CircleMeasure,
@@ -223,7 +222,11 @@ def _cmd_limit(args):
 
 
 def _cmd_verify(args):
-    rows = verify_suites.run(args.suite, args.order, args.seed)
+    from . import verify  # only this subcommand loads the check registry
+
+    order = verify.DEFAULT_ORDER if args.order is None else args.order
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    rows = verify.run(args.suite, order, seed)
     width = max(len(name) for name, _, _ in rows)
     failed = [name for name, ok, _ in rows if not ok]
     for name, ok, detail in rows:
@@ -235,6 +238,22 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+class _Suites:
+    """The choices of ``verify --suite``: the registry's suites and 'all'.
+
+    The registry loads when argparse first reads them, to check a --suite
+    value or to print help, so that no other subcommand imports it.
+    """
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter(SUITES + ("all",))
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 def build_parser():
@@ -306,9 +325,10 @@ def build_parser():
     p.set_defaults(handler=_cmd_limit)
 
     p = sub.add_parser("verify", help="run the self-check suites")
-    p.add_argument("--suite", default="all", choices=verify_suites.SUITES + ("all",))
-    p.add_argument("--order", type=int, default=verify_suites.DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=verify_suites.DEFAULT_SEED)
+    # Set after add_argument, which would list the choices at once.
+    p.add_argument("--suite", default="all").choices = _Suites()
+    p.add_argument("--order", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -21,17 +21,36 @@ ceil(sqrt(N+1)) - 1 for the powers of the inner series and
 ceil((N+1)/ceil(sqrt(N+1))) - 1 for Horner's rule over blocks of outer
 coefficients (Brent-Kung baby-step/giant-step), about 2 sqrt(N) in all;
 reversion one reciprocal and s - 1 + N//s - 1 with s = ceil(sqrt(N))
-(Johansson's baby-step/giant-step Lagrange), again about 2 sqrt(N).  Approx
+(Johansson's baby-step/giant-step Lagrange), again about 2 sqrt(N).  Horner's
+rule runs at shrinking orders: the value after block j meets the giant step
+j more times, so it is kept only to order N - jk and padded by k zeros
+before the next product, whose giant step has k leading zeros.  Every
+coefficient is the same sum in the same order as at full order.  Approx
 mode runs the same code with blocks of one coefficient: that is Horner's
-rule (N products) and the power-by-power Lagrange loop (N - 1 products),
-with their rounding.  In floats a composition's giant step multiplies the
-rounding error of each block by coefficients that grow like binomials
-wherever the inner series' coefficients do not decay (the reversion of a
-law near a point mass), and the error no longer cancels.  Giant-step
-reversion is about as accurate as the loop, but it moves rounding enough
-to flip ill-conditioned approx results across their checks both ways, so
-approx mode keeps the loop until it has a precision budget.  The binomial
-transform f(z/(1-z)) needs no product in either mode.
+rule (N products at orders 1..N, about N^3/6 complex multiply-adds rather
+than the N^3/2 of N full products) and the power-by-power Lagrange loop
+(N - 1 products), with their rounding.  In floats a composition's giant
+step multiplies the rounding error of each block by coefficients that grow
+like binomials wherever the inner series' coefficients do not decay (the
+reversion of a law near a point mass), and the error no longer cancels.
+Giant-step reversion is about as accurate as the loop, but it moves
+rounding enough to flip ill-conditioned approx results across their checks
+both ways, so approx mode keeps the loop until it has a precision budget.
+The binomial transform f(z/(1-z)) needs no product in either mode.
+
+An approx product, reciprocal and reversion form each coefficient as one
+dot product, ``sum(map(mul, ...))``, accumulated in ascending index of the
+left operand: the order of the schoolbook loops that the tests keep as
+references.  A product leaves out the terms outside each operand's span of
+nonzero coefficients, as the loop skips zero terms, but keeps the zeros
+inside the span.  That changes no bit of a finite result: a running sum
+that starts at +0.0 never becomes -0.0, and adding a zero of either sign
+leaves any other value as it is.  With a non-finite coefficient it can:
+0 * inf puts NaN where the loop leaves 0j, so
+``from_json`` refuses non-finite approx coefficients.  Kernel results in
+approx mode are built by ``_from_complex``, which takes a sequence of
+Python complex numbers as it is; only the public constructor converts ints,
+Fractions and ComplexRationals through ``_coerce``.
 """
 from __future__ import annotations
 
@@ -171,11 +190,16 @@ def _exact_parts(value):
     raise ArgumentError(f"cannot use {value!r} as an exact scalar")
 
 
-def _json_fraction(value, what):
-    """Fraction(value) for a number read from JSON, where 1e400 parses to inf."""
+def _json_finite(value, what):
+    """A number read from JSON, refused if not finite: 1e400 parses to inf, NaN to nan."""
     if isinstance(value, float) and not isfinite(value):
         raise ArgumentError(f"{what} must be a finite number, not {value!r}")
-    return Fraction(value)
+    return value
+
+
+def _json_fraction(value, what):
+    """Fraction(value) for a finite number read from JSON."""
+    return Fraction(_json_finite(value, what))
 
 
 # -- the exact kernel: products of lists of integer numerators ----------------
@@ -208,6 +232,33 @@ def _product(a, b, c, d):
             re[i + j] += x * u - y * v
             im[i + j] += x * v + y * u
     return re, im
+
+
+# -- the approx kernel: dot products of complex coefficients ---------------------
+
+
+def _complex_product(a, b):
+    """Coefficients of a b truncated to len(a) terms, a and b tuples of complex.
+
+    c_k is one dot product, sum(map(mul, ...)), over the i for which a_i and
+    b_(k-i) lie between the first and last nonzero term of their operand,
+    accumulated in ascending i as the schoolbook loop does.  Only zero terms
+    are left out, so a product with a polynomial of low degree, such as a
+    power of z/f for a Moebius f, costs its length times that degree.
+    """
+    count = len(a)
+    out = [0j] * count
+    left = [i for i, x in enumerate(a) if x]
+    right = [j for j, y in enumerate(b) if y]
+    if not (left and right):
+        return out
+    (lo_a, hi_a), (lo_b, hi_b) = (left[0], left[-1]), (right[0], right[-1])
+    rev = b[::-1]  # rev[count - 1 - j] = b_j
+    for k in range(lo_a + lo_b, min(count - 1, hi_a + hi_b) + 1):
+        lo, hi = max(lo_a, k - hi_b), min(hi_a, k - lo_b)
+        top = count - 1 - k
+        out[k] = sum(map(mul, a[lo : hi + 1], rev[top + lo : top + hi + 1]))
+    return out
 
 
 def _binomial_rows(c):
@@ -262,6 +313,15 @@ class TruncatedSeries:
         out.order = len(re) - 1
         out.mode = EXACT
         out._re, out._im, out._den = re, im, den
+        return out
+
+    @staticmethod
+    def _from_complex(coeffs):
+        """The approx series with these Python complex coefficients, taken as they are."""
+        out = object.__new__(TruncatedSeries)
+        out.order = len(coeffs) - 1
+        out.mode = APPROX
+        out.coeffs = tuple(coeffs)
         return out
 
     # -- constructors -------------------------------------------------------
@@ -337,7 +397,14 @@ class TruncatedSeries:
             return self
         if self.mode == EXACT:
             return TruncatedSeries._from_ints(self._re[: order + 1], self._im[: order + 1], self._den)
-        return TruncatedSeries(self.coeffs[: order + 1], self.mode, order)
+        return TruncatedSeries._from_complex(self.coeffs[: order + 1])
+
+    def _padded(self, order):
+        """self with zero coefficients up to a higher order."""
+        if self.mode == EXACT:
+            pad = [0] * (order - self.order)
+            return TruncatedSeries._from_ints(self._re + pad, self._im + pad, self._den)
+        return TruncatedSeries._from_complex(self.coeffs + (0j,) * (order - self.order))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -345,17 +412,13 @@ class TruncatedSeries:
         self._check_binary(other)
         if self.mode == EXACT:
             return self._combine(other, 1)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.mode
-        )
+        return TruncatedSeries._from_complex([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_binary(other)
         if self.mode == EXACT:
             return self._combine(other, -1)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.mode
-        )
+        return TruncatedSeries._from_complex([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def _combine(self, other, sign):
         """self + sign*other over the least common denominator (exact mode)."""
@@ -370,30 +433,20 @@ class TruncatedSeries:
     def __neg__(self):
         if self.mode == EXACT:
             return TruncatedSeries._from_ints([-x for x in self._re], [-x for x in self._im], self._den)
-        return TruncatedSeries([-c for c in self.coeffs], self.mode)
+        return TruncatedSeries._from_complex([-c for c in self.coeffs])
 
     def __mul__(self, other):
         self._check_binary(other)
         if self.mode == EXACT:
             re, im = _product(self._re, self._im, other._re, other._im)
             return TruncatedSeries._from_ints(re, im, self._den * other._den)
-        n = self.order
-        left, right = self.coeffs, other.coeffs
-        out = [0j] * (n + 1)
-        for i, a in enumerate(left):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = right[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, self.mode)
+        return TruncatedSeries._from_complex(_complex_product(self.coeffs, other.coeffs))
 
     def scale(self, scalar):
         if self.mode == EXACT:
             return self * TruncatedSeries.constant(scalar, self.order, EXACT)
         s = _coerce(scalar, self.mode)
-        return TruncatedSeries([s * c for c in self.coeffs], self.mode)
+        return TruncatedSeries._from_complex([s * c for c in self.coeffs])
 
     def pow_int(self, k):
         """self**k by square-and-multiply: O(log k) products."""
@@ -419,13 +472,13 @@ class TruncatedSeries:
             raise ArgumentError("nothing left below order 0")
         if self.mode == EXACT:
             return TruncatedSeries._from_ints(self._re[1:], self._im[1:], self._den)
-        return TruncatedSeries(self.coeffs[1:], self.mode, self.order - 1)
+        return TruncatedSeries._from_complex(self.coeffs[1:])
 
     def shift_up(self):
         """Multiply by z; the order grows by one."""
         if self.mode == EXACT:
             return TruncatedSeries._from_ints([0] + self._re, [0] + self._im, self._den)
-        return TruncatedSeries((0j,) + self.coeffs, self.mode, self.order + 1)
+        return TruncatedSeries._from_complex((0j,) + self.coeffs)
 
     def compose(self, inner):
         """self(inner(z)), truncated at the smaller order n of the two.
@@ -437,7 +490,7 @@ class TruncatedSeries:
         scalar combination of those powers, with no product, and Horner's
         rule over the blocks in g^k costs ceil((n+1)/k) - 1 more.  Exact mode
         takes k = ceil(sqrt(n+1)), about 2 sqrt(n) products in all; approx
-        mode takes k = 1, plain Horner with n products.
+        mode takes k = 1, plain Horner with n products at orders 1..n.
         """
         if self.mode != inner.mode:
             raise ArgumentError("mode mismatch")
@@ -451,9 +504,11 @@ class TruncatedSeries:
         while len(powers) <= k:
             powers.append(powers[-1] * g)
         giant = powers.pop()
+        # The value after block j meets the giant step j more times, so it is
+        # needed only to order n - j k: Horner's rule runs at shrinking orders.
         *blocks, out = f._block_sums(powers)
         for block in reversed(blocks):
-            out = out * giant + block
+            out = out._padded(block.order) * giant.truncate(block.order) + block
         return out
 
     def binomial_transform(self):
@@ -466,23 +521,26 @@ class TruncatedSeries:
         if self.mode == EXACT:
             re, im = _binomial_rows(self._re), _binomial_rows(self._im)
             return TruncatedSeries._from_ints(re, im, self._den)
-        return TruncatedSeries(_binomial_rows(list(self.coeffs)), APPROX)
+        return TruncatedSeries._from_complex(_binomial_rows(list(self.coeffs)))
 
     def _block_sums(self, powers):
         """sum_i c_(jk+i) powers[i] over i < k = len(powers), for each block j of self.
 
-        Exact mode brings the powers over the lcm of their denominators once,
-        so that every block is integer work over one denominator.  Approx
-        mode has blocks of one coefficient, c_j times the constant 1.
+        Block j is truncated at order N - j k, the order that ``compose``
+        needs it to.  Exact mode brings the powers over the lcm of their
+        denominators once, so that every block is integer work over one
+        denominator.  Approx mode has blocks of one coefficient, c_j times
+        the constant 1.
         """
+        top = self.order + 1
         if self.mode == APPROX:
-            return [TruncatedSeries.constant(c, self.order, APPROX) for c in self.coeffs]
-        k, top = len(powers), self.order + 1
+            return [TruncatedSeries._from_complex((c,) + (0j,) * (top - 1 - j)) for j, c in enumerate(self.coeffs)]
+        k = len(powers)
         den = lcm(*(p._den for p in powers))
         scaled = [([x * (den // p._den) for x in p._re], [y * (den // p._den) for y in p._im]) for p in powers]
         out = []
         for start in range(0, top, k):
-            re, im = [0] * top, [0] * top
+            re, im = [0] * (top - start), [0] * (top - start)
             for c, (p_re, p_im) in zip(range(start, top), scaled):
                 a, b = self._re[c], self._im[c]
                 if a or b:
@@ -516,15 +574,13 @@ class TruncatedSeries:
                 new_re, new_im = _product(b_re, b_im, e_re, e_im)
                 b = TruncatedSeries._from_ints(new_re, new_im, b._den * den * b._den)
             return b
+        # inv_n = -(sum_k c_k inv_(n-k), ascending k) / c_0.
         coeffs = self.coeffs
         a0 = coeffs[0]
         inv = [(1 + 0j) / a0]
         for n in range(1, self.order + 1):
-            acc = 0j
-            for k in range(1, n + 1):
-                acc = acc + coeffs[k] * inv[n - k]
-            inv.append(-acc / a0)
-        return TruncatedSeries(inv, self.mode)
+            inv.append(-sum(map(mul, coeffs[1 : n + 1], inv[::-1])) / a0)
+        return TruncatedSeries._from_complex(inv)
 
     def invert_composition(self):
         """The compositional inverse g with self(g(z)) = z + O(z^{N+1}).
@@ -570,12 +626,12 @@ class TruncatedSeries:
         g = [0j]
         for big, small, k in pairs:
             g.append(sum(map(mul, big.coeffs[:k], small.coeffs[k - 1 :: -1])) / k)
-        return TruncatedSeries(g, self.mode)
+        return TruncatedSeries._from_complex(g)
 
     def to_approx(self):
         if self.mode == APPROX:
             return self
-        return TruncatedSeries([c.to_complex() for c in self.coeffs], APPROX)
+        return TruncatedSeries._from_complex([c.to_complex() for c in self.coeffs])
 
     # -- serialization -------------------------------------------------------
 
@@ -599,7 +655,10 @@ class TruncatedSeries:
                 for re, im in data["coeffs"]
             ]
         elif mode == APPROX:
-            coeffs = [complex(re, im) for re, im in data["coeffs"]]
+            coeffs = [
+                complex(_json_finite(re, "a series coefficient"), _json_finite(im, "a series coefficient"))
+                for re, im in data["coeffs"]
+            ]
         else:
             raise ArgumentError(f"unknown mode {mode!r}")
         return cls(coeffs, mode)

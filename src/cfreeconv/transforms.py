@@ -27,7 +27,9 @@ two workhorses are closed forms over one compositional inverse m^-1:
     ct = b(M) o m^-1,
 
 both one order lower than the input moments.  (In cumulant terms they are
-(R/z) o R^-1 and (cR/z) o R^-1.)  Exact mode computes t by the right-hand
+(R/z) o R^-1 and (cR/z) o R^-1.)  When M equals m, ct is t: the c-free
+product of pairs (nu, nu) is the free product, and a bundle returns its T
+as cT without a second composition.  Exact mode computes t by the right-hand
 side, one reciprocal of (1 + u) m^-1(u)/u, with no eta(m) and no
 composition; ct reuses the same reversion.  Approx mode keeps the
 composition b(m) o m^-1: in floats the closed form moves rounding enough to
@@ -104,6 +106,7 @@ def phi_moments_from_cfree_cumulants(cr, m):
     _check_vanishing(cr, "a cumulant series")
     if cr.order != m.order or cr.mode != m.mode:
         raise ArgumentError("cumulant and psi series must share order and mode")
+    _check_vanishing(m, "a psi-moment series")
     c = cr.compose(_w(m))
     return c * (_one_plus(m) - c).reciprocal()
 
@@ -245,6 +248,13 @@ class TransformBundle:
 
     @functools.cached_property
     def cT(self):
+        """b(M) o m^-1, which is T when M equals m (a self-paired law).
+
+        Approx == counts -0.0 equal to 0.0, but the sign of a zero cannot
+        reach b(M): 1 + M and every product's sums start from +0.0.
+        """
+        if self.M == self.m:
+            return self.T
         return self.B.compose(self._m_inverse)
 
     @functools.cached_property

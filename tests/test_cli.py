@@ -200,12 +200,27 @@ def test_limit_with_vanishing_first_moment_exits_2(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_numpy():
+    # Nor the check registry, which only `verify` needs.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, cfreeconv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    probe = (
+        "import sys, cfreeconv.cli as cli; cli.build_parser().parse_args(['nc', '--n', '3']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'cfreeconv.verify'))"
+    )
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_suite_choices_come_from_the_registry(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "nope"])
+    assert info.value.code == 2
+    assert ", ".join(map(repr, verify.SUITES + ("all",))) in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    assert "{" + ",".join(verify.SUITES + ("all",)) + "}" in capsys.readouterr().out
 
 
 def test_verify_exit_codes(capsys, monkeypatch):
@@ -386,6 +401,10 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["convolve", "--kind", "cfree", "--a", "{pair}", "--b", "{pair}"], "atom turns must be a finite number, not inf"),
         (["idiv", "--gamma", "1,0", "--sigma", "{weight}", "--kind", "free"], "atom weight must be a finite number, not inf"),
         (["semigroup", "--gen", "{gen}", "--sigma-target", "{target}", "--t", "1"], "a series coefficient must be a finite number, not inf"),
+        (["semigroup", "--gen", "{atoms}", "--sigma-target", "{approx_inf}", "--t", "1", "--order", "3"],
+         "a series coefficient must be a finite number, not inf"),
+        (["semigroup", "--gen", "{atoms}", "--sigma-target", "{approx_nan}", "--t", "1", "--order", "3"],
+         "a series coefficient must be a finite number, not nan"),
         (["idiv", "--gamma", "1,0", "--sigma", "{heavy}", "--kind", "free"], "a series exponential overflows double precision"),
         (["idiv", "--gamma", "1,0", "--sigma", "{huge}", "--kind", "free"], "the generator's mass overflows double precision"),
         (["semigroup", "--gen", "{atoms}", "--sigma-target", "{short}", "--t", "1e30", "--order", "3"],
@@ -396,6 +415,7 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
          "a series order must be its coefficient count less one, not 5"),
     ],
     ids=["gamma", "poisson", "moments", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
+         "semigroup-approx-target-1e400", "semigroup-approx-target-nan",
          "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order"],
 )
 def test_nan_input_exits_2(tmp_path, capsys, argv, message):
@@ -413,6 +433,8 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
         "weight": '{"type": "atomic", "atoms": [{"turns": 0, "weight": 1e400}]}',
         "gen": '{"gamma": [1, 0]}',
         "target": '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], [1e400, 0]]}',
+        "approx_inf": '{"mode": "approx", "order": 2, "coeffs": [[1, 0], [0, 0], [1e400, 0]]}',
+        "approx_nan": '{"mode": "approx", "order": 2, "coeffs": [[1, 0], [0, NaN], [0, 0]]}',
         "heavy": '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e40"}]}',
         "huge": '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e400"}]}',
         "atoms": '{"gamma": [1, 0], "sigma": {"type": "atomic", "atoms": [{"turns": "1/3", "weight": "1/4"}]}}',

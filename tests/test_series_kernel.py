@@ -1,4 +1,4 @@
-"""The exact series kernel against a schoolbook ComplexRational reference.
+"""The series kernel against schoolbook references.
 
 Every exact op runs on integer numerators over one denominator; here each is
 compared with the plain coefficient-list formula it must reproduce, on fresh
@@ -6,11 +6,14 @@ coefficient lists and on kernel outputs, with numerators near 2^256 and
 denominators up to 2^64 among the draws.  Composition and reversion are also
 compared, at every order up to 24, with Horner's rule and the power-by-power
 Lagrange loop run on the kernel, and quarter-turn moments with their
-ComplexRational sums.
+ComplexRational sums.  The approx kernel's dot products and shrinking-order
+Horner's rule are compared bit for bit, signed zeros included, with the
+nested loops that approx mode ran before them, at every order up to 64.
 """
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from cfreeconv.errors import DomainError
 from cfreeconv.measures import CircleMeasure
 from cfreeconv.series import ComplexRational, TruncatedSeries
+from cfreeconv.transforms import TransformBundle
 
 # -- the reference: lists of ComplexRational, schoolbook loops ----------------
 
@@ -417,3 +421,166 @@ def test_exact_ops_build_linearly_many_scalars(monkeypatch):
     assert scalars_built(monkeypatch, lambda: f * g) <= 4 * (n + 1)
     assert scalars_built(monkeypatch, lambda: f.compose(g)) <= 4 * (n + 1)
     assert scalars_built(monkeypatch, g.invert_composition) <= 4 * (n + 1)
+
+
+# -- the approx kernel against the loops it replaced -----------------------------
+
+
+def loop_mul(left, right):
+    """The approx product as a nested loop over the nonzero terms."""
+    n = len(left) - 1
+    out = [0j] * (n + 1)
+    for i, a in enumerate(left):
+        if not a:
+            continue
+        for j in range(n + 1 - i):
+            b = right[j]
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def loop_reciprocal(coeffs):
+    """inv_n = -(c_1 inv_(n-1) + ... + c_n inv_0) / c_0, one term at a time."""
+    a0 = coeffs[0]
+    inv = [(1 + 0j) / a0]
+    for n in range(1, len(coeffs)):
+        acc = 0j
+        for k in range(1, n + 1):
+            acc = acc + coeffs[k] * inv[n - k]
+        inv.append(-acc / a0)
+    return inv
+
+
+def loop_compose(f, g):
+    """Horner's rule at full order over loop_mul: out <- out g + c_k."""
+    n = min(len(f), len(g)) - 1
+    out = [f[n]] + [0j] * n
+    for c in reversed(f[:n]):
+        out = [x + y for x, y in zip(loop_mul(out, g[: n + 1]), [c] + [0j] * n)]
+    return out
+
+
+def loop_invert(f):
+    """Lagrange reversion over every power of h = z/f, by loop_mul and loop_reciprocal."""
+    n = len(f) - 1
+    h = loop_reciprocal(f[1:])
+    one = [1 + 0j] + [0j] * (n - 1)
+    g, power = [0j], h
+    for k in range(1, n + 1):
+        g.append(sum(map(mul, power[:k], one[k - 1 :: -1])) / k)
+        power = loop_mul(power, h)
+    return g
+
+
+def bits(coeffs):
+    """The coefficients as float.hex pairs, so that -0.0 and 0.0 differ."""
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+ZEROS = (0.0, -0.0)
+
+
+def approx_coeffs(rng, order, lead=0):
+    """Complex coefficients of mixed sizes, with interior zeros and zero parts of either sign.
+
+    The first ``lead`` are zeros of random sign; a quarter of the draws stop
+    at a random degree (a polynomial, trailing zeros).
+    """
+    out = []
+    for k in range(order + 1):
+        u = rng.random()
+        if k < lead or u < 0.15:
+            c = complex(rng.choice(ZEROS), rng.choice(ZEROS))
+        elif u < 0.3:
+            c = complex(rng.uniform(-2, 2), rng.choice(ZEROS))
+        elif u < 0.4:
+            c = complex(rng.choice(ZEROS), rng.uniform(-2, 2))
+        else:
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 10.0 ** rng.randint(-3, 3)
+        out.append(c)
+    if order and rng.random() < 0.25:
+        degree = rng.randint(lead, order)
+        out[degree + 1 :] = [0j] * (order - degree)
+    return out
+
+
+def nonzero_at(rng, coeffs, k):
+    if not coeffs[k]:
+        coeffs[k] = complex(rng.uniform(0.5, 2), rng.choice(ZEROS))
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(65))
+def test_approx_kernel_is_the_loops_bit_for_bit(n):
+    rng = random.Random(5000 + n)
+    for _ in range(3):
+        a, b = approx_coeffs(rng, n), approx_coeffs(rng, n, lead=rng.choice([0, 1, 2]))
+        A, B = TruncatedSeries.approx(a), TruncatedSeries.approx(b)
+        assert bits((A * B).coeffs) == bits(loop_mul(A.coeffs, B.coeffs))
+        assert bits((B * A).coeffs) == bits(loop_mul(B.coeffs, A.coeffs))
+        unit = TruncatedSeries.approx(nonzero_at(rng, a, 0))
+        assert bits(unit.reciprocal().coeffs) == bits(loop_reciprocal(unit.coeffs))
+        inner = TruncatedSeries.approx(approx_coeffs(rng, n + rng.choice([0, 2]), lead=1))
+        assert bits(A.compose(inner).coeffs) == bits(loop_compose(A.coeffs, inner.coeffs))
+        if n:
+            f = TruncatedSeries.approx(nonzero_at(rng, approx_coeffs(rng, n, lead=1), 1))
+            assert bits(f.invert_composition().coeffs) == bits(loop_invert(f.coeffs))
+
+
+def test_approx_composition_multiplies_at_shrinking_orders(monkeypatch):
+    # Horner's value after coefficient j of f is kept to order n - j, so the
+    # n products run at orders 1..n; at full order each would cost
+    # (n + 1)(n + 2)/2 multiply-adds.
+    n = 64
+    rng = random.Random(64)
+    f = TruncatedSeries.approx(approx_coeffs(rng, n))
+    g = TruncatedSeries.approx(approx_coeffs(rng, n, lead=1))
+    orders = []
+    product = TruncatedSeries.__mul__
+
+    def recorded(self, other):
+        orders.append(self.order)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+    f.compose(g)
+    monkeypatch.undo()
+    assert orders == list(range(1, n + 1))
+    work = sum((k + 1) * (k + 2) // 2 for k in orders)
+    assert work <= 0.4 * n * (n + 1) * (n + 2) // 2
+
+
+def compositions(monkeypatch, op):
+    """Calls of TruncatedSeries.compose made by op()."""
+    count = [0]
+    compose = TruncatedSeries.compose
+
+    def counted(self, inner):
+        count[0] += 1
+        return compose(self, inner)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    op()
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_self_paired_bundle_takes_ct_from_t(monkeypatch):
+    # The c-free product of pairs (nu, nu) is the free product: cT = b(m) o m^-1 = T.
+    rng = random.Random(66)
+    m = seeded_series(rng, 12, vanish=[0, 3, 7])
+    m = TruncatedSeries.exact([0, 1] + list(m.coeffs[2:]))
+    # The copy's zeros carry the other sign: approx == counts them equal, and
+    # the sign of a zero cannot reach cT, as the last assertion shows.
+    flipped = [complex(-0.0 if not c.real else c.real, -0.0 if not c.imag else c.imag) for c in m.to_approx().coeffs]
+    for psi, copy in ((m, TruncatedSeries.exact(m.coeffs)), (m.to_approx(), TruncatedSeries.approx(flipped))):
+        for phi in (psi, copy):
+            bundle = TransformBundle(phi, psi)
+            bundle.T
+            assert compositions(monkeypatch, lambda: bundle.cT) == 0
+            assert bundle.cT is bundle.T
+            by_definition = bundle.B.compose(psi.invert_composition())
+            assert by_definition == bundle.cT
+            if psi.mode == "approx":
+                assert bits(by_definition.coeffs) == bits(bundle.cT.coeffs)

@@ -137,6 +137,14 @@ def test_domain_errors():
             getattr(law, field)
 
 
+def test_phi_moments_from_cfree_cumulants_needs_vanishing_psi_moments():
+    cr, headed = TruncatedSeries.exact([0, 1, 2, 3]), TruncatedSeries.exact([5, 1, 1, 1])
+    with pytest.raises(ArgumentError, match="psi-moment series must have a vanishing constant term"):
+        phi_moments_from_cfree_cumulants(cr, headed)
+    with pytest.raises(ArgumentError, match="psi-moment series must have a vanishing constant term"):
+        phi_moments_from_cfree_cumulants(cr.to_approx(), headed.to_approx())
+
+
 def test_bundle_fields_match_free_functions(monkeypatch):
     rng = random.Random(58)
     m = random_vanishing(rng, 6, c1_nonzero=True)
