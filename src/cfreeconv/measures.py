@@ -2,7 +2,8 @@
 
 A law enters every computation through its moment sequence, so the measure
 types are thin: finitely many atoms at rational turns, the uniform law, the
-Poisson kernel law with parameter alpha, or a bare stored moment list.
+Poisson kernel law with parameter alpha, or a bare moment series: one that
+a caller stored, or the output of a convolution, kept as it was computed.
 Atoms keep exact rational angles.  Laws with atoms at quarter turns only
 evaluate exactly: their moments are 4-periodic, and they are written
 directly as integer numerators over the lcm of the weights' denominators.
@@ -23,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
-from .series import ComplexRational, TruncatedSeries, _coerce, _json_fraction, _one
+from .series import ComplexRational, TruncatedSeries, _coerce, _json_fraction
 from .transforms import (
     TransformBundle,
     _moments_from_eta,
@@ -50,13 +51,13 @@ def _unit(turn):
 class CircleMeasure:
     """A law on the unit circle, known through its moments."""
 
-    __slots__ = ("kind", "atoms", "alpha", "values")
+    __slots__ = ("kind", "atoms", "alpha", "series")
 
-    def __init__(self, kind, atoms=None, alpha=None, values=None):
+    def __init__(self, kind, atoms=None, alpha=None, series=None):
         self.kind = kind
         self.atoms = atoms
         self.alpha = alpha
-        self.values = values
+        self.series = series  # the moments kind: its moment series, with constant term 0
 
     # -- constructors -------------------------------------------------------
 
@@ -97,11 +98,13 @@ class CircleMeasure:
 
     @classmethod
     def moment_seq(cls, values):
+        """The law with moments 1..len(values), exact if every value is a ComplexRational."""
         vals = tuple(values)
         for v in vals:
             if not abs(_as_complex(v)) <= 1 + _MOMENT_SLACK:
                 raise ArgumentError("moments of a law on the circle are bounded by 1")
-        return cls("moments", values=vals)
+        mode = "exact" if all(isinstance(v, ComplexRational) for v in vals) else "approx"
+        return cls("moments", series=TruncatedSeries([0, *vals], mode))
 
     # -- basics --------------------------------------------------------------
 
@@ -112,7 +115,7 @@ class CircleMeasure:
             return True
         if self.kind == "poisson":
             return isinstance(self.alpha, ComplexRational)
-        return all(isinstance(v, ComplexRational) for v in self.values)
+        return self.series.mode == "exact"
 
     def moment_series(self, order, mode=None):
         """Moments 1..order as a truncated series with vanishing constant."""
@@ -126,6 +129,11 @@ class CircleMeasure:
             return TruncatedSeries.zero(order, mode)
         if self.kind == "atomic" and mode == "exact":
             return self._quarter_turn_moments(order)
+        if self.kind == "moments":
+            if self.series.order < order:
+                raise ArgumentError("the stored moment list is shorter than the order")
+            out = self.series.truncate(order)
+            return out.to_approx() if mode == "approx" else out
         coeffs = [_coerce(0, mode)]
         if self.kind == "atomic":
             state = [(_coerce(w, mode), _unit(t)) for t, w in self.atoms]
@@ -136,16 +144,12 @@ class CircleMeasure:
                     total = total + weight * power
                 coeffs.append(total)
                 running = [p * unit for (_, unit), p in zip(state, running)]
-        elif self.kind == "poisson":
+        else:
             alpha = _coerce(self.alpha, mode)
-            power = _one(mode)
+            power = _coerce(1, mode)
             for _ in range(order):
                 power = power * alpha
                 coeffs.append(power)
-        else:
-            if len(self.values) < order:
-                raise ArgumentError("the stored moment list is shorter than the order")
-            coeffs += [_coerce(v, mode) for v in self.values[:order]]
         return TruncatedSeries(coeffs, mode)
 
     def _quarter_turn_moments(self, order):
@@ -169,11 +173,11 @@ class CircleMeasure:
     def __eq__(self, other):
         if not isinstance(other, CircleMeasure):
             return NotImplemented
-        return (self.kind, self.atoms, self.alpha, self.values) == (
+        return (self.kind, self.atoms, self.alpha, self.series) == (
             other.kind,
             other.atoms,
             other.alpha,
-            other.values,
+            other.series,
         )
 
     def __repr__(self):
@@ -181,7 +185,7 @@ class CircleMeasure:
             "atomic": lambda: f"atoms={list(self.atoms)!r}",
             "haar": lambda: "",
             "poisson": lambda: f"alpha={self.alpha!r}",
-            "moments": lambda: f"values={list(self.values)!r}",
+            "moments": lambda: f"series={self.series!r}",
         }[self.kind]()
         return f"CircleMeasure({self.kind}{', ' + payload if payload else ''})"
 
@@ -200,13 +204,7 @@ class CircleMeasure:
         if self.kind == "poisson":
             alpha = _as_complex(self.alpha)
             return {"type": "poisson", "alpha": [alpha.real, alpha.imag]}
-        values = []
-        for v in self.values:
-            if isinstance(v, ComplexRational):
-                values.append([str(v.re), str(v.im)])
-            else:
-                values.append([v.real, v.imag])
-        return {"type": "moments", "values": values}
+        return {"type": "moments", "values": self.series.to_json()["coeffs"][1:]}
 
     @classmethod
     def from_json(cls, data, probability=True):
@@ -230,7 +228,7 @@ class CircleMeasure:
             values = []
             for re, im in data["values"]:
                 if isinstance(re, str) or isinstance(im, str):
-                    values.append(ComplexRational(Fraction(re), Fraction(im)))
+                    values.append(ComplexRational(_json_fraction(re, "a moment"), _json_fraction(im, "a moment")))
                 else:
                     values.append(complex(re, im))
             return cls.moment_seq(values)
@@ -342,34 +340,30 @@ def _pick_mode(mode, *measures):
     return "approx"
 
 
-def _computed_law(values):
-    """The law with the moments 1..N computed in this module.
+def _computed_law(moments):
+    """The law with the moment series computed in this module, kept as it is.
 
     A computed moment outside the unit disk means double precision lost the
     result, and so does a moment that is not a number, so this raises
     :class:`NumericalError`; ``moment_seq`` keeps :class:`ArgumentError` for
     lists the caller supplies.
     """
-    moduli = [abs(_as_complex(v)) for v in values]
+    order = moments.order
+    moduli = [abs(v) for v in moments.to_approx().coeffs[1:]]
     if any(math.isnan(x) for x in moduli):
-        raise NumericalError(f"a computed moment at order {len(values)} is not a number")
+        raise NumericalError(f"a computed moment at order {order} is not a number")
     largest = max(moduli, default=0.0)
     if largest > 1 + _MOMENT_SLACK:
         raise NumericalError(
-            f"computed moments at order {len(values)} reach modulus {largest:.3e}, "
+            f"computed moments at order {order} reach modulus {largest:.3e}, "
             "beyond the bound 1 for a law on the circle"
         )
-    return CircleMeasure("moments", values=tuple(values))
+    return CircleMeasure("moments", series=moments)
 
 
 def _measure_from_eta(e):
     """Law with the given eta-series, through m = eta/(1 - eta)."""
-    return _computed_law(_moments_from_eta(e).coeffs[1:])
-
-
-def moments_of(m, order):
-    """Moments 1..order of a law, exact whenever the data allows it."""
-    return list(m.moment_series(order).coeffs[1:])
+    return _computed_law(_moments_from_eta(e))
 
 
 def boolean_convolve(mu1, mu2, order=8, mode=None):
@@ -387,7 +381,7 @@ def free_multiplicative_convolve(nu1, nu2, order=8, mode=None):
     t = t_transform(nu1.moment_series(order, mode)) * t_transform(
         nu2.moment_series(order, mode)
     )
-    return _computed_law(moments_from_t(t).coeffs[1:])
+    return _computed_law(moments_from_t(t))
 
 
 def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
@@ -403,16 +397,18 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
     uniform2 = p2.nu.kind == "haar"
     if uniform1 and uniform2:
         mode = _pick_mode(mode, p1.mu, p2.mu)
-        c = (
-            p1.mu.moment_series(1, mode).coeffs[1]
-            * p2.mu.moment_series(1, mode).coeffs[1]
-        )
-        power = _one(mode)
-        values = []
-        for _ in range(order):
-            power = power * c
-            values.append(power)
-        return MeasurePair(_computed_law(values), CircleMeasure.haar())
+        first = [p.mu.moment_series(1, mode) for p in (p1, p2)]
+        top = max(order, 0)  # an order below 1 leaves a law with no moments
+        if mode == "exact":  # cz/(1 - cz) with c = m_1 m_1', from the integer numerators
+            c = first[0].shift_down() * first[1].shift_down()
+            moments = _moments_from_eta(c._padded(top).shift_up().truncate(top))
+        else:
+            c = first[0].coeffs[1] * first[1].coeffs[1]
+            powers = [1 + 0j]
+            for _ in range(top):
+                powers.append(powers[-1] * c)
+            moments = TruncatedSeries.approx([0, *powers[1:]])
+        return MeasurePair(_computed_law(moments), CircleMeasure.haar())
     if uniform1 or uniform2:
         raise UnsupportedDomainError(
             "a uniform psi-law only convolves with another uniform psi-law"
@@ -423,10 +419,7 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
         for p in (p1, p2)
     )
     product = x.multiply(y)
-    return MeasurePair(
-        _computed_law(product.M.coeffs[1:]),
-        _computed_law(product.m.coeffs[1:]),
-    )
+    return MeasurePair(_computed_law(product.M), _computed_law(product.m))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +560,7 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
     for n in n_list:
         weight = s / Fraction(n)
         factor = CircleMeasure.atomic([(0, 1 - weight), (omega_turns, weight)])
-        if not factor.moment_series(1).coeffs[1]:
+        if not factor.moment_series(1)._nonzero(1):
             raise UnsupportedDomainError(
                 f"row n={n}: the factor's first moment vanishes, so it has no t-series"
             )
@@ -575,7 +568,7 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
         pair_product = TransformBundle.from_moments(m, m).power(n)
         boolean_b = b_series(m).pow_int(n)
         for moments in (pair_product.M, pair_product.m, _moments_from_eta(boolean_b.shift_up())):
-            _computed_law(moments.coeffs[1:])  # the moment bound on each n-fold law
+            _computed_law(moments)  # the moment bound on each n-fold law
         pair_sigma = pair_product.Sigma
         for j in range(order + 1):
             rows.append(

@@ -10,7 +10,7 @@ identities as sums over non-crossing, parity-constant and linked
 partitions: moments from cumulants, the boxed convolution, the cumulants
 of a product, and moments from the t- and ct-series.  The test-suite and
 ``cfreeconv verify`` insist they agree with the closed forms in
-:mod:`cumulants` and :mod:`transforms`.
+:mod:`transforms`.
 
 Those sums read only block sizes, so each runs over a table of distinct
 coefficient products with their partition counts, built once per size by

@@ -6,11 +6,11 @@ real parts and a list of imaginary parts -- over one positive common
 denominator, with their common content divided out once per operation, so
 that equal series have equal integer forms.  Its ``coeffs`` tuple of
 :class:`ComplexRational` (pairs of ``fractions.Fraction``) is built only
-when a caller reads it.  A product is the schoolbook convolution of the
-numerator lists over their nonzero terms, truncated as it goes, so a
-product with a constant or a monomial costs O(N).  The reciprocal is Newton
-iteration over such products.  ``approx``
-coefficients are Python complex numbers.  All series taking part in one
+when a caller reads it; ``to_approx`` and ``to_json`` read the integers.
+A product is the schoolbook convolution of the numerator lists over their
+nonzero terms, truncated as it goes, so a product with a constant or a
+monomial costs O(N).  The reciprocal is Newton iteration over such
+products.  ``approx`` coefficients are Python complex numbers.  All series taking part in one
 computation share a mode; binary arithmetic also insists on a common order.
 Operations that lose the top coefficient (shifting down by one power of z,
 composition-style transforms) return a series of lower order rather than
@@ -347,7 +347,7 @@ class TruncatedSeries:
         """The series z."""
         if order < 1:
             raise ArgumentError("identity needs order >= 1")
-        return cls([_zero(mode), _one(mode)], mode, order)
+        return cls([0, 1], mode, order)
 
     # -- basics --------------------------------------------------------------
 
@@ -452,7 +452,7 @@ class TruncatedSeries:
         """self**k by square-and-multiply: O(log k) products."""
         if not isinstance(k, int) or k < 0:
             raise ArgumentError("pow_int takes a nonnegative integer")
-        out = TruncatedSeries.constant(_one(self.mode), self.order, self.mode)
+        out = TruncatedSeries.constant(1, self.order, self.mode)
         base = self
         while k:
             if k & 1:
@@ -500,7 +500,7 @@ class TruncatedSeries:
         f = self.truncate(n)
         g = inner.truncate(n)
         k = isqrt(n) + 1 if self.mode == EXACT else 1  # approx: Horner; see the module docstring
-        powers = [TruncatedSeries.constant(_one(self.mode), n, self.mode), g]
+        powers = [TruncatedSeries.constant(1, n, self.mode), g]
         while len(powers) <= k:
             powers.append(powers[-1] * g)
         giant = powers.pop()
@@ -601,7 +601,7 @@ class TruncatedSeries:
         n = self.order
         h = self.shift_down().reciprocal()
         s = isqrt(n - 1) + 1 if self.mode == EXACT else 1  # approx: one power at a time
-        baby = [TruncatedSeries.constant(_one(self.mode), n - 1, self.mode), h]
+        baby = [TruncatedSeries.constant(1, n - 1, self.mode), h]
         while len(baby) <= s:
             baby.append(baby[-1] * h)
         giants = [baby[0], baby.pop()]
@@ -631,13 +631,18 @@ class TruncatedSeries:
     def to_approx(self):
         if self.mode == APPROX:
             return self
-        return TruncatedSeries._from_complex([c.to_complex() for c in self.coeffs])
+        # An integer quotient is correctly rounded, as Fraction.__float__ is;
+        # 0.0 + keeps the +0.0 that complex(Fraction, Fraction) gives an
+        # imaginary part that underflows.
+        den = self._den
+        return TruncatedSeries._from_complex([complex(r / den, 0.0 + i / den) for r, i in zip(self._re, self._im)])
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
         if self.mode == EXACT:
-            coeffs = [[str(c.re), str(c.im)] for c in self.coeffs]
+            den = self._den
+            coeffs = [[str(Fraction(r, den)), str(Fraction(i, den))] for r, i in zip(self._re, self._im)]
         else:
             coeffs = [[c.real, c.imag] for c in self.coeffs]
         return {"order": self.order, "mode": self.mode, "coeffs": coeffs}

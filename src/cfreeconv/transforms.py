@@ -67,7 +67,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ArgumentError, NumericalError, UnsupportedDomainError
-from .series import TruncatedSeries, _one
+from .series import TruncatedSeries
 
 
 def _check_vanishing(s, what):
@@ -76,7 +76,7 @@ def _check_vanishing(s, what):
 
 
 def _one_plus(s):
-    return TruncatedSeries.constant(_one(s.mode), s.order, s.mode) + s
+    return TruncatedSeries.constant(1, s.order, s.mode) + s
 
 
 def _w(m):
@@ -149,8 +149,7 @@ def eta(m):
 
 def _moments_from_eta(e):
     """Invert :func:`eta`: the moment series e/(1-e)."""
-    one = TruncatedSeries.constant(_one(e.mode), e.order, e.mode)
-    return e * (one - e).reciprocal()
+    return e * (TruncatedSeries.constant(1, e.order, e.mode) - e).reciprocal()
 
 
 def b_series(M):

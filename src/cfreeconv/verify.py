@@ -30,7 +30,6 @@ from .measures import (
     idiv_boolean_measure,
     idiv_free_measure,
     limit_experiment,
-    moments_of,
     semigroup_pair,
     toeplitz_psd_check,
 )
@@ -412,7 +411,7 @@ def positivity(order, rng):
             free_multiplicative_convolve(a, b, order),
             cfree_multiplicative_convolve(MeasurePair(a, b), MeasurePair(b, a), order).mu,
         ):
-            ok, smallest = toeplitz_psd_check(moments_of(law, order), tolerance=1e-7)
+            ok, smallest = toeplitz_psd_check(law.moment_series(order).to_approx().coeffs[1:], tolerance=1e-7)
             _ensure(ok, f"smallest eigenvalue {smallest}")
     bad, _ = toeplitz_psd_check([2, 0, 0, 0])
     _ensure(not bad, "an impossible moment list passed")

@@ -397,6 +397,7 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["idiv", "--gamma", "nan,0", "--kind", "free"], "gamma must sit on the unit circle"),
         (["transform", "--in", "{poisson}", "--what", "r", "--order", "2"], "the kernel parameter needs |alpha| < 1"),
         (["transform", "--in", "{moments}", "--what", "r", "--order", "1"], "moments of a law on the circle are bounded by 1"),
+        (["transform", "--in", "{mixed}", "--what", "t", "--order", "2"], "a moment must be a finite number, not inf"),
         (["convolve", "--kind", "free", "--a", "{turns}", "--b", "{point}"], "atom turns must be a finite number, not inf"),
         (["convolve", "--kind", "cfree", "--a", "{pair}", "--b", "{pair}"], "atom turns must be a finite number, not inf"),
         (["idiv", "--gamma", "1,0", "--sigma", "{weight}", "--kind", "free"], "atom weight must be a finite number, not inf"),
@@ -414,7 +415,7 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["semigroup", "--gen", "{atoms}", "--sigma-target", "{padded}", "--t", "1", "--order", "3"],
          "a series order must be its coefficient count less one, not 5"),
     ],
-    ids=["gamma", "poisson", "moments", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
+    ids=["gamma", "poisson", "moments", "moments-mixed-1e400", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
          "semigroup-approx-target-1e400", "semigroup-approx-target-nan",
          "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order"],
 )
@@ -427,6 +428,7 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     for name, text in {
         "poisson": '{"type": "poisson", "alpha": [NaN, 0]}',
         "moments": '{"type": "moments", "values": [[NaN, 0]]}',
+        "mixed": '{"type": "moments", "values": [["1/2", 1e400]]}',
         "turns": '{"type": "atomic", "atoms": [{"turns": 1e400, "weight": 1}]}',
         "point": '{"type": "atomic", "atoms": [{"turns": 0, "weight": 1}]}',
         "pair": '{"mu": {"type": "atomic", "atoms": [{"turns": 1e400, "weight": 1}]}, "nu": {"type": "haar"}}',

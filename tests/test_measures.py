@@ -1,5 +1,6 @@
 """Circle laws: moments, convolutions, generators, centering, experiments."""
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,6 @@ from cfreeconv.measures import (
     idiv_boolean_measure,
     idiv_free_measure,
     limit_experiment,
-    moments_of,
     semigroup_pair,
     series_exp,
     series_log,
@@ -29,7 +29,7 @@ from cfreeconv.measures import (
 )
 from cfreeconv.oracles import product_psi_cumulants
 from cfreeconv.series import ComplexRational, TruncatedSeries
-from cfreeconv.transforms import free_cumulants_from_moments, sigma_series
+from cfreeconv.transforms import TransformBundle, free_cumulants_from_moments, moments_from_t, sigma_series, t_transform
 
 
 def q(re, im=0):
@@ -74,14 +74,14 @@ def pair_gap(pa, pb, order):
 
 
 def test_moment_formulas():
-    assert moments_of(CircleMeasure.haar(), 5) == [q(0)] * 5
+    assert CircleMeasure.haar().moment_series(5).coeffs[1:] == (q(0),) * 5
     alpha = 0.3 + 0.4j
-    kernel_moments = moments_of(CircleMeasure.poisson(alpha), 4)
+    kernel_moments = CircleMeasure.poisson(alpha).moment_series(4).coeffs[1:]
     assert all(abs(v - alpha ** n) < 1e-15 for n, v in enumerate(kernel_moments, 1))
     lam = CircleMeasure.point_mass(Fraction(1, 4))
-    assert moments_of(lam, 4) == [q(0, 1), q(-1), q(0, -1), q(1)]
+    assert lam.moment_series(4).coeffs[1:] == (q(0, 1), q(-1), q(0, -1), q(1))
     mixed = CircleMeasure.atomic([(0, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2))])
-    vals = moments_of(mixed, 3)
+    vals = mixed.moment_series(3).coeffs[1:]
     zeta = cmath.exp(1j * math.tau / 3)
     assert all(abs(v - (0.5 + 0.5 * zeta ** n)) < 1e-12 for n, v in enumerate(vals, 1))
     assert all(abs(v) <= 1 + 1e-12 for v in vals)
@@ -89,7 +89,7 @@ def test_moment_formulas():
 
 def test_moment_guards():
     with pytest.raises(ArgumentError):
-        moments_of(CircleMeasure.moment_seq([0.5, 0.25]), 3)
+        CircleMeasure.moment_seq([0.5, 0.25]).moment_series(3).coeffs[1:]
     with pytest.raises(DomainError):
         CircleMeasure.point_mass(Fraction(1, 3)).moment_series(2, "exact")
     with pytest.raises(ArgumentError):
@@ -111,7 +111,7 @@ def test_moment_guards():
 def test_computed_law_refuses_a_moment_that_is_not_a_number(values):
     # max() skips a NaN that is not first, so every value must be tested.
     with pytest.raises(NumericalError, match="not a number"):
-        measures._computed_law(values)
+        measures._computed_law(TruncatedSeries.approx([0, *values]))
 
 
 def test_measure_json_round_trips():
@@ -129,6 +129,67 @@ def test_measure_json_round_trips():
             assert gap(m, again, 2) < 1e-15
     with pytest.raises(ArgumentError):
         CircleMeasure.from_json({"type": "gaussian"})
+
+
+# Quarter-turn laws, whose convolutions run exactly.
+X = CircleMeasure.atomic([(0, Fraction(5, 12)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(1, 4))])
+Y = CircleMeasure.atomic([(0, Fraction(1, 4)), (Fraction(1, 4), Fraction(7, 12)), (Fraction(3, 4), Fraction(1, 6))])
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_computed_laws_keep_the_series_that_produced_them(mode):
+    order = 8
+    mx, my = X.moment_series(order, mode), Y.moment_series(order, mode)
+    product = TransformBundle.from_moments(mx, mx).multiply(TransformBundle.from_moments(my, my))
+    pair = cfree_multiplicative_convolve(MeasurePair(X, X), MeasurePair(Y, Y), order, mode)
+    produced = [
+        (pair.mu, product.M),
+        (pair.nu, product.m),
+        (free_multiplicative_convolve(X, Y, order, mode), moments_from_t(t_transform(mx) * t_transform(my))),
+    ]
+    for law, series in produced:
+        assert law.supports_exact() == (mode == "exact")
+        for n in range(1, order + 1):
+            assert law.moment_series(n) == series.truncate(n)
+            assert law.moment_series(n, "approx") == series.truncate(n).to_approx()
+        with pytest.raises(ArgumentError, match="shorter than the order"):
+            law.moment_series(order + 1)
+        assert CircleMeasure.from_json(json.loads(json.dumps(law.to_json()))) == law
+
+
+def test_a_moment_list_with_a_float_entry_is_an_approx_law():
+    law = CircleMeasure.moment_seq([q(Fraction(1, 2), Fraction(1, 4)), 0.25 + 0j])
+    assert not law.supports_exact()
+    assert law.to_json() == {"type": "moments", "values": [[0.5, 0.25], [0.25, 0.0]]}
+    assert CircleMeasure.moment_seq([q(Fraction(1, 2), Fraction(1, 4))]).to_json() == {
+        "type": "moments",
+        "values": [["1/2", "1/4"]],
+    }
+
+
+def test_exact_convolutions_build_no_scalars(monkeypatch):
+    built = []
+    init = ComplexRational.__init__
+
+    def counted(self, *args, **kwargs):
+        built[-1][1] += 1
+        init(self, *args, **kwargs)
+
+    def count(what, op):
+        built.append([what, 0])
+        return op()
+
+    monkeypatch.setattr(ComplexRational, "__init__", counted)
+    order = 16
+    product = count("cfree", lambda: cfree_multiplicative_convolve(MeasurePair(X, X), MeasurePair(Y, Y), order))
+    count("cfree of its output", lambda: cfree_multiplicative_convolve(product, product, order))
+    count("free", lambda: free_multiplicative_convolve(X, Y, order))
+    count("boolean", lambda: boolean_convolve(X, Y, order))
+    bundle = TransformBundle.from_moments(X.moment_series(order), Y.moment_series(order))
+    count("bundle", lambda: (bundle.T, bundle.cT, bundle.Sigma, bundle.R, bundle.cR))
+    monkeypatch.undo()
+    assert product.mu.supports_exact() and product.nu.supports_exact()
+    assert built == [[what, 0] for what, _ in built]
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +541,9 @@ def test_limit_experiment_refuses_a_vanishing_first_moment(s, n):
 
 
 def test_toeplitz_gate_examples():
-    ok, smallest = toeplitz_psd_check(moments_of(CircleMeasure.point_mass(Fraction(1, 4)), 6))
+    ok, smallest = toeplitz_psd_check(CircleMeasure.point_mass(Fraction(1, 4)).moment_series(6).coeffs[1:])
     assert ok and abs(smallest) < 1e-9
-    ok, smallest = toeplitz_psd_check(moments_of(CircleMeasure.haar(), 6))
+    ok, smallest = toeplitz_psd_check(CircleMeasure.haar().moment_series(6).coeffs[1:])
     assert ok and abs(smallest - 1) < 1e-12
     bad, smallest = toeplitz_psd_check([2, 0, 0, 0])
     assert not bad and smallest < -1e-3

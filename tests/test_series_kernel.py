@@ -255,6 +255,14 @@ def test_eq_and_hash_agree_with_the_coefficients(ab):
     assert (a == b) == (a.coeffs == b.coeffs)
 
 
+@SETTINGS
+@example(dense(16, 1))
+@example(TruncatedSeries.exact([ComplexRational(Fraction(1, 3), Fraction(-1, 10**400))] * 2))
+@given(series())
+def test_exact_to_approx_is_each_coefficient_as_a_complex(a):
+    assert bits(a.to_approx().coeffs) == bits([complex(c.re, c.im) for c in a.coeffs])
+
+
 # -- compose and reversion at every order up to 24 -------------------------------
 
 
