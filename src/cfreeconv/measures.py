@@ -393,19 +393,20 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
     phi-moments.  A uniform psi-law meeting a non-uniform one has no
     moment-level product formula and is rejected.
     """
+    if order < 1:
+        raise ArgumentError("at least one moment must be requested")
     uniform1 = p1.nu.kind == "haar"
     uniform2 = p2.nu.kind == "haar"
     if uniform1 and uniform2:
         mode = _pick_mode(mode, p1.mu, p2.mu)
         first = [p.mu.moment_series(1, mode) for p in (p1, p2)]
-        top = max(order, 0)  # an order below 1 leaves a law with no moments
         if mode == "exact":  # cz/(1 - cz) with c = m_1 m_1', from the integer numerators
             c = first[0].shift_down() * first[1].shift_down()
-            moments = _moments_from_eta(c._padded(top).shift_up().truncate(top))
+            moments = _moments_from_eta(c._padded(order).shift_up().truncate(order))
         else:
             c = first[0].coeffs[1] * first[1].coeffs[1]
             powers = [1 + 0j]
-            for _ in range(top):
+            for _ in range(order):
                 powers.append(powers[-1] * c)
             moments = TruncatedSeries.approx([0, *powers[1:]])
         return MeasurePair(_computed_law(moments), CircleMeasure.haar())

@@ -16,7 +16,10 @@ Those sums read only block sizes, so each runs over a table of distinct
 coefficient products with their partition counts, built once per size by
 enumerating and classifying every partition (:func:`_table`).  The counts
 come from enumeration, never from a closed form, so the route stays
-independent of what it checks.  The letter-dependent products
+independent of what it checks.  An exact sum reads the Gaussian-integer
+numerators of its series over the lcm of their denominators, so a row is a
+product of integer pairs and no scalar is built per row; the sum is one
+scalar, or one series, at the end.  The letter-dependent products
 :func:`kappa`, :func:`Kappa` and :func:`word_cumulant` still go partition
 by partition.  Sizes are small.
 """
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import ArgumentError, DomainError
 from .partitions import (
@@ -36,7 +41,7 @@ from .partitions import (
     kreweras,
     ncl_classify,
 )
-from .series import TruncatedSeries, _one, _zero
+from .series import EXACT, ComplexRational, TruncatedSeries, _one, _zero
 
 
 def catalan_numbers(count):
@@ -218,17 +223,20 @@ def _table_sum(table, families, mode):
 
     Neighbouring rows of a sorted table share a prefix of factors, so the
     partial products of the previous row are kept and only the rest of each
-    row is multiplied out.
+    row is multiplied out.  In exact mode the products are of Gaussian
+    integers, the families' numerators over the lcm d of their denominators
+    (:func:`_exact_table_sum`), and one scalar is built at the end; approx
+    mode multiplies the complex coefficients row by row.
     """
+    if mode == EXACT:
+        numerators, d = _numerators(families)
+        re, im, top = _exact_table_sum(table, numerators, d)
+        return ComplexRational(Fraction(re, d**top), Fraction(im, d**top))
     acc = _zero(mode)
     previous = ()
     products = [_one(mode)]  # products[i]: the product of previous[:i]
     for factors, count in table:
-        shared = 0
-        for a, b in zip(previous, factors):
-            if a != b:
-                break
-            shared += 1
+        shared = _shared_prefix(previous, factors)
         del products[shared + 1:]
         for slot, k in factors[shared:]:
             products.append(products[-1] * families[slot].coefficient(k))
@@ -237,9 +245,65 @@ def _table_sum(table, families, mode):
     return acc
 
 
+def _shared_prefix(previous, factors):
+    shared = 0
+    for a, b in zip(previous, factors):
+        if a != b:
+            break
+        shared += 1
+    return shared
+
+
+def _numerators(families):
+    """The (re, im) numerator lists of exact series over d, the lcm of their denominators, and d."""
+    if any(f.mode != EXACT for f in families):
+        raise ArgumentError("mode mismatch")
+    d = lcm(*(f._den for f in families))
+    scaled = []
+    for f in families:
+        m = d // f._den
+        scaled.append((f._re, f._im) if m == 1 else ([x * m for x in f._re], [x * m for x in f._im]))
+    return scaled, d
+
+
+def _exact_table_sum(table, numerators, d):
+    """(re, im, J) with the table sum equal to (re + i im) / d^J.
+
+    A row of j factors is a product of j Gaussian integers over d^j.  Rows
+    are summed per length j, and the sums are joined over d^J, J the longest
+    row, by Horner's rule in d.
+    """
+    top = max((len(factors) for factors, _ in table), default=0)
+    res, ims = [0] * (top + 1), [0] * (top + 1)
+    previous = ()
+    products = [(1, 0)]  # products[i]: the product of previous[:i]
+    for factors, count in table:
+        shared = _shared_prefix(previous, factors)
+        del products[shared + 1:]
+        for slot, k in factors[shared:]:
+            x, y = products[-1]
+            u, v = numerators[slot][0][k], numerators[slot][1][k]
+            products.append((x * u - y * v, x * v + y * u))
+        x, y = products[-1]
+        res[len(factors)] += count * x
+        ims[len(factors)] += count * y
+        previous = factors
+    re = im = 0
+    for x, y in zip(res, ims):
+        re, im = re * d + x, im * d + y
+    return re, im, top
+
+
 def _table_series(tables, families, mode):
     """The series 0, sum(tables[0]), sum(tables[1]), ..."""
-    return TruncatedSeries([_zero(mode)] + [_table_sum(t, families, mode) for t in tables], mode)
+    if mode != EXACT:
+        return TruncatedSeries([_zero(mode)] + [_table_sum(t, families, mode) for t in tables], mode)
+    numerators, d = _numerators(families)
+    sums = [_exact_table_sum(t, numerators, d) for t in tables]
+    top = max((j for _, _, j in sums), default=0)
+    return TruncatedSeries._from_ints(
+        [0] + [re * d ** (top - j) for re, _, j in sums], [0] + [im * d ** (top - j) for _, im, j in sums], d**top
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +335,7 @@ def _boxed_table(n, first_singleton):
 
 def _boxed_sum(f, g, first_singleton):
     f._check_binary(g)
-    if f.coeffs[0] or g.coeffs[0]:
+    if f._nonzero(0) or g._nonzero(0):
         raise DomainError("boxed convolution needs vanishing constant terms")
     return _table_series([_boxed_table(n, first_singleton) for n in range(1, f.order + 1)], (f, g), f.mode)
 
@@ -444,7 +508,7 @@ def cfree_product_cumulant_series(x, y, order=None):
     Needs both first psi-cumulants invertible.
     """
     r_x, r_y = x.R, y.R
-    if not r_x.coeffs[1] or not r_y.coeffs[1]:
+    if not r_x._nonzero(1) or not r_y._nonzero(1):
         raise DomainError("product formula needs nonzero first psi-cumulants")
     if order is None:
         order = x.order - 1

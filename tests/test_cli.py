@@ -110,6 +110,16 @@ def test_convolve_cfree_point_masses(tmp_path, capsys):
     assert got_nu == CircleMeasure.point_mass(Fraction(1, 4)).moment_series(4)
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_convolve_cfree_uniform_pair_refuses_an_order_below_one(tmp_path, capsys, order):
+    mu = {"type": "atomic", "atoms": [{"turns": "0", "weight": "1/2"}, {"turns": "1/4", "weight": "1/2"}]}
+    a = write(tmp_path / "a.json", {"mu": mu, "nu": {"type": "haar"}})
+    assert main(["convolve", "--kind", "cfree", "--a", a, "--b", a, "--order", order]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one moment must be requested" in err
+
+
 def test_convolve_rejects_pair_for_single_kind(tmp_path, capsys):
     a = write(tmp_path / "a.json", {"mu": delta("1/4"), "nu": MIX})
     b = write(tmp_path / "b.json", MIX)

@@ -301,6 +301,15 @@ def test_pair_uniform_escape_hatch():
         )
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_uniform_pair_product_refuses_an_order_below_one(mode):
+    half = CircleMeasure.atomic([(Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))])
+    p = MeasurePair(half, CircleMeasure.haar())
+    for order in (0, -2):
+        with pytest.raises(ArgumentError, match="at least one moment must be requested"):
+            cfree_multiplicative_convolve(p, p, order, mode)
+
+
 def test_pair_convolution_associates():
     rng = random.Random(76)
     pairs = [

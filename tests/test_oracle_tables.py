@@ -6,6 +6,7 @@ routes must agree under ``==``; in approx mode count-times-product rounds
 differently from repeated addition, so they agree to 1e-12 relative to the
 sum of the terms' moduli.
 """
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -171,19 +172,92 @@ def test_coupled_sums(mode, drawn):
     assert_agree(mode, oracles.product_phi_cumulants(x, y, n), reference_coupled_sum, (x_cr, x_r, y_cr, y_r), n)
 
 
+# -- the integer route: lcm scaling and the per-length power of d ---------------
+
+
+def wide_scalars(base):
+    """Exact scalars with numerators near 2^80 over powers of ``base``, or zero."""
+    near = st.builds(lambda sign, k: sign * (2**80 + k), st.sampled_from([-1, 1]), st.integers(-1000, 1000))
+    part = st.builds(Fraction, near, st.integers(0, 6).map(lambda e: base**e))
+    return st.one_of(st.just(ComplexRational()), st.builds(ComplexRational, part, part))
+
+
+@st.composite
+def wide_series(draw, order, base):
+    """An exact series with vanishing constant term over powers of ``base``, or all zeros."""
+    if draw(st.integers(0, 4)) == 0:
+        return TruncatedSeries.zero(order, "exact")
+    return TruncatedSeries.exact([0] + draw(st.lists(wide_scalars(base), min_size=order, max_size=order)))
+
+
+@settings(SETTINGS, max_examples=10)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(wide_series(n, 2), wide_series(n, 3))))
+def test_exact_sums_over_distinct_denominators(pair):
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        assert oracles.phi_moments_nc_sum(a, b) == reference_nc_sum(a, b)
+        assert oracles.boxed_convolution(a, b) == reference_boxed_sum(a, b, False)
+        assert oracles.phi_moments_via_linked_blocks(a, b, min(b.order, 6)) == reference_linked_sum(a, b, min(b.order, 6))
+    n = min(f.order, 5)
+    assert oracles.product_psi_cumulants(f, g, n) == reference_coupled_sum(f, f, g, g, n)
+
+
+# -- approx table sums are today's loop, bit for bit ------------------------------
+
+
+def loop_table_sum(table, families, mode):
+    """The row-order loop that summed every table before exact sums went over integers."""
+    acc = _zero(mode)
+    previous = ()
+    products = [_one(mode)]
+    for factors, count in table:
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        del products[shared + 1:]
+        for slot, k in factors[shared:]:
+            products.append(products[-1] * families[slot].coefficient(k))
+        acc = acc + count * products[-1]
+        previous = factors
+    return acc
+
+
+def test_approx_table_sums_are_the_row_order_loop_bit_for_bit():
+    rng = random.Random(23)
+    families = [
+        TruncatedSeries.approx([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(9)]) for _ in range(4)
+    ]
+    tables = [oracles._nc_table(n) for n in range(1, 9)]
+    tables += [oracles._boxed_table(n, first) for n in range(1, 9) for first in (False, True)]
+    tables += [oracles._linked_table(n) for n in range(1, 9)]
+    tables += [oracles._coupled_table(n) for n in range(1, 7)]  # NC_0(2n) is enumerated up to 2n = 12
+    for table in tables:
+        got, want = oracles._table_sum(table, families, "approx"), loop_table_sum(table, families, "approx")
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 # -- what a warm table saves -----------------------------------------------------
 
 
-def test_a_warm_linked_sum_enumerates_nothing_and_builds_few_scalars(monkeypatch):
+def test_a_warm_exact_sum_enumerates_nothing_and_builds_only_its_result(monkeypatch):
     t = TruncatedSeries.exact([ComplexRational(k + 1, -k) for k in range(8)])
     ct = TruncatedSeries.exact([ComplexRational(2 - k, k) for k in range(8)])
-    want = oracles.phi_moments_via_linked_blocks(ct, t)
+    f, g = (TruncatedSeries.exact([0] + list(s.coeffs[1:])) for s in (t, ct))
+    runs = [
+        (lambda: oracles.phi_moments_nc_sum(ct, t), 0),
+        (lambda: oracles.phi_moments_via_linked_blocks(ct, t), 0),
+        (lambda: oracles.boxed_convolution(f, g), 0),
+        (lambda: oracles.product_psi_cumulants(f, g, 5), 1),
+    ]
+    wanted = [run() for run, _ in runs]
 
     def refuse(*args):
         raise AssertionError("a warm table enumerated again")
 
-    monkeypatch.setattr(oracles, "enumerate_ncl", refuse)
-    monkeypatch.setattr(oracles, "ncl_classify", refuse)
+    for name in ("enumerate_nc", "enumerate_nc_0", "enumerate_ncl", "ncl_classify", "kreweras"):
+        monkeypatch.setattr(oracles, name, refuse)
     built = []
     init = ComplexRational.__init__
 
@@ -192,9 +266,10 @@ def test_a_warm_linked_sum_enumerates_nothing_and_builds_few_scalars(monkeypatch
         init(self, *args)
 
     monkeypatch.setattr(ComplexRational, "__init__", counted)
-    assert oracles.phi_moments_via_linked_blocks(ct, t) == want
-    rows = [row for n in range(1, 9) for row in oracles._linked_table(n)]
-    assert len(built) <= 4 * sum(len(factors) + 2 for factors, _ in rows)
+    for (run, scalars), want in zip(runs, wanted):
+        built.clear()
+        assert run() == want
+        assert len(built) == scalars
 
 
 def test_product_cumulants_refuse_n_below_one():
