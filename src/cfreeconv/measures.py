@@ -604,18 +604,24 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
 def toeplitz_psd_check(moments, tolerance=1e-9):
     """Positive-semidefiniteness gate on a moment list (m_0 = 1 implied).
 
-    Builds the square Toeplitz matrix [m_{j-k}] of size len(moments)//2 + 1
-    with m_{-n} the conjugate of m_n, and reports whether its smallest
-    eigenvalue clears -tolerance, together with that eigenvalue.
+    Decides whether the Toeplitz matrix T = [m_{j-k}] of size len(moments)//2 + 1,
+    with m_{-n} the conjugate of m_n, has no eigenvalue below -tolerance, by the
+    Szegő (Levinson-Durbin) recursion on c_0 = 1 + tolerance, c_k = m_k (Simon,
+    Orthogonal Polynomials on the Unit Circle, ch. 1-2).  Its prediction errors
+    E_k are the LDL^H pivots of T + tolerance*I.  Returns (ok, min_k E_k - tolerance),
+    stopping at the first E_k that is not > 0, so that NaN fails.  When ok, the
+    second value bounds the smallest eigenvalue of T from above (1 for the uniform
+    law); otherwise it is at most -tolerance, as that eigenvalue then is.
     """
-    import numpy  # only this gate needs it; importing the package stays light
-
-    values = [1 + 0j] + [_as_complex(v) for v in moments]
-    size = len(moments) // 2 + 1
-    matrix = numpy.empty((size, size), dtype=complex)
-    for j in range(size):
-        for k in range(size):
-            d = j - k
-            matrix[j, k] = values[d] if d >= 0 else values[-d].conjugate()
-    smallest = float(numpy.linalg.eigvalsh(matrix)[0])
-    return smallest >= -tolerance, smallest
+    m = [_as_complex(v) for v in moments[: len(moments) // 2]]
+    predictor = [1 + 0j]  # monic, and (T + tolerance*I) predictor = (E, 0, ..., 0)
+    error = smallest = 1 + tolerance
+    for k in range(len(m)):
+        delta = sum(x * p for x, p in zip(m[k::-1], predictor))
+        alpha = delta / error  # a Verblunsky coefficient, up to sign and conjugation
+        predictor = [p - alpha * q.conjugate() for p, q in zip(predictor + [0j], [0j] + predictor[::-1])]
+        error -= abs(delta) * abs(alpha)
+        if not error > 0:
+            return False, error - tolerance
+        smallest = min(smallest, error)
+    return True, smallest - tolerance

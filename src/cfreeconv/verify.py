@@ -412,7 +412,7 @@ def positivity(order, rng):
             cfree_multiplicative_convolve(MeasurePair(a, b), MeasurePair(b, a), order).mu,
         ):
             ok, smallest = toeplitz_psd_check(law.moment_series(order).to_approx().coeffs[1:], tolerance=1e-7)
-            _ensure(ok, f"smallest eigenvalue {smallest}")
+            _ensure(ok, f"smallest pivot {smallest}")
     bad, _ = toeplitz_psd_check([2, 0, 0, 0])
     _ensure(not bad, "an impossible moment list passed")
     return f"3 random convolution triples at order {order}"

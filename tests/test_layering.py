@@ -6,10 +6,13 @@ The list is read from the package directory, so a module added or removed
 is checked or dropped with it.  Every sum over partitions lives in ``oracles`` and is only
 ever called by the tests and ``cfreeconv verify``, so within the package
 only ``__init__`` and ``verify`` import it.  In turn ``oracles`` imports
-none of the closed forms it checks.  The check reads the sources, so an
-import hidden inside a function counts too.
+none of the closed forms it checks.  Beyond the package, every module
+imports the standard library alone: the package has no third-party runtime
+dependency.  The checks read the sources, so an import hidden inside a
+function counts too.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,17 @@ def package_imports(tree):
                 parts = alias.name.split(".")
                 if parts[0] == "cfreeconv" and len(parts) > 1:
                     found.add(parts[1])
+    return found
+
+
+def absolute_imports(tree):
+    """The top-level package of every absolute import an AST makes anywhere."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
     return found
 
 
@@ -75,6 +89,12 @@ def test_production_module_defines_no_oracle_route(module):
         PACKAGE / "oracles.py"
     )
     assert shared == set()
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_module_imports_only_the_standard_library(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert absolute_imports(tree) - sys.stdlib_module_names - {"cfreeconv"} == set()
 
 
 @pytest.mark.parametrize(

@@ -556,3 +556,87 @@ def test_toeplitz_gate_examples():
     assert ok and abs(smallest - 1) < 1e-12
     bad, smallest = toeplitz_psd_check([2, 0, 0, 0])
     assert not bad and smallest < -1e-3
+
+
+@pytest.mark.parametrize(
+    "moments, passes",
+    [
+        ([complex(0, math.inf), 0.5, 0.1, 0.1], False),
+        ([0.5, math.nan, 0.1, 0.1], False),
+        ([math.nan, 0.5], False),
+        ([math.inf, 0.5], False),
+        ([0.1, 0.2, math.nan, 0.1], True),  # the size-3 matrix reads m_1 and m_2 only
+    ],
+    ids=["inf-m1", "nan-m2", "nan-m1", "inf-m1-real", "nan-unread"],
+)
+def test_toeplitz_gate_refuses_a_non_finite_moment_it_reads(moments, passes):
+    ok, _ = toeplitz_psd_check(moments)
+    assert ok is passes
+
+
+def _exact_pivots(moments, tolerance):
+    """The LDL^H pivots of T + tolerance*I over the rationals, up to the first that is not positive.
+
+    T is the Toeplitz matrix the gate reads, built from the moments as
+    doubles, each taken exactly; a complex entry is a (re, im) pair.
+    """
+    size = len(moments) // 2 + 1
+    doubles = [m.to_complex() if isinstance(m, ComplexRational) else complex(m) for m in moments]
+    c = [(1 + Fraction(tolerance), Fraction(0))] + [
+        (Fraction(z.real), Fraction(z.imag)) for z in doubles[: size - 1]
+    ]
+    # lower triangle: a[j][k] = c_{j-k}
+    a = [[c[j - k] for k in range(j + 1)] for j in range(size)]
+    pivots = []
+    for k in range(size):
+        d = a[k][k][0]
+        pivots.append(d)
+        if d <= 0:
+            break
+        for j in range(k + 1, size):
+            fr, fi = a[j][k][0] / d, a[j][k][1] / d
+            for i in range(k + 1, j + 1):
+                yr, yi = a[i][k]  # a[j][i] -= (a[j][k] / d) * conj(a[i][k])
+                r, s = a[j][i]
+                a[j][i] = (r - (fr * yr + fi * yi), s - (fi * yr - fr * yi))
+    return pivots
+
+
+def _gate_inputs():
+    """Convolution outputs, exact and approx, and perturbed atomic moments."""
+    rng = random.Random(26)
+    products = (
+        boolean_convolve,
+        free_multiplicative_convolve,
+        lambda x, y, order: cfree_multiplicative_convolve(MeasurePair(x, y), MeasurePair(y, x), order).mu,
+    )
+    for order in (8, 12, 16):
+        x, y = random_atomic(rng, QUARTER), random_atomic(rng, QUARTER)
+        for product in products:
+            yield product(x, y, order).moment_series(order).coeffs[1:]
+    for order in (16, 16, 32, 32):
+        x, y = random_invertible_atomic(rng, TWELFTH), random_invertible_atomic(rng, TWELFTH)
+        for product in products:
+            try:
+                law = product(x, y, order)
+            except NumericalError:  # the moment bound refuses a blown-up approx output
+                continue
+            yield law.moment_series(order).coeffs[1:]
+    for _ in range(40):
+        base = random_atomic(rng, TWELFTH).moment_series(16, "approx").coeffs[1:]
+        noise = 10 ** rng.uniform(-13, -5)
+        yield [m + complex(rng.gauss(0, noise), rng.gauss(0, noise)) for m in base]
+
+
+def test_toeplitz_gate_decides_as_the_exact_pivots():
+    decided = refused = 0
+    for moments in _gate_inputs():
+        for tolerance in (1e-9, 1e-7):
+            pivots = _exact_pivots(moments, tolerance)
+            if abs(min(pivots)) < 1e-12:
+                continue
+            ok, _ = toeplitz_psd_check(moments, tolerance)
+            assert ok == (pivots[-1] > 0)
+            decided += 1
+            refused += not ok
+    assert decided >= 100 and refused >= 10
