@@ -117,10 +117,11 @@ class NCPartition(SetPartition):
     it (strictly below its minimum and strictly above its maximum); the rest
     are exterior.  ``ext_blocks`` and ``int_blocks`` hold block indices and
     are computed on first read: most partitions built in bulk, such as
-    complements, are never asked.
+    complements, are never asked.  The Kreweras complement is kept the same
+    way: :func:`kreweras` computes it on the first call and stores it here.
     """
 
-    __slots__ = ("_split",)
+    __slots__ = ("_split", "_complement")
 
     def __init__(self, n, blocks):
         super().__init__(n, blocks)
@@ -252,7 +253,19 @@ def kreweras(p):
     n + 1, with equality exactly when p is non-crossing (Biane), so a
     crossing partition is refused by counting.  Validated in the tests
     against the defining maximality property and the planar-face walk.
+
+    The complement of an :class:`NCPartition` is kept on it, so every later
+    call on the same object returns the same object; :func:`enumerate_nc`
+    shares its partitions up to ``_CACHE_MAX``, so repeated sums over NC(n)
+    walk each one once.  A crossing :class:`SetPartition` is refused on
+    every call, and anything else, a linked partition included, is refused
+    before the walk.
     """
+    complement = getattr(p, "_complement", None)
+    if complement is not None:
+        return complement
+    if not isinstance(p, SetPartition):
+        raise ArgumentError(f"the Kreweras complement needs a set partition, not {p!r}")
     n = p.n
     before = [0] * (n + 1)  # before[e] = p^-1(e)
     for b in p.blocks:
@@ -275,7 +288,10 @@ def kreweras(p):
         blocks.append(tuple(cycle))
     if len(p.blocks) + len(blocks) != n + 1:
         raise ArgumentError(f"{p!r} is crossing; the Kreweras complement needs a non-crossing partition")
-    return NCPartition._from_canonical(n, tuple(blocks))
+    complement = NCPartition._from_canonical(n, tuple(blocks))
+    if isinstance(p, NCPartition):
+        p._complement = complement
+    return complement
 
 
 def nc_join(p, q):
@@ -539,8 +555,19 @@ def ncl_classify(g):
 
 
 def partition_from_json(data, kind="nc"):
-    """Rebuild a partition from its JSON form; ``kind`` is nc|ncl|set."""
+    """Rebuild a partition from its JSON form; ``kind`` is nc|ncl|set.
+
+    The form is an object with an integer ``n`` and ``blocks``, a list of
+    integer lists (tuples pass too); anything else raises
+    :class:`ArgumentError`.
+    """
+    if not isinstance(data, dict) or not {"n", "blocks"} <= data.keys():
+        raise ArgumentError("a partition in JSON is an object with the keys n and blocks")
     n, blocks = data["n"], data["blocks"]
+    if type(n) is not int or not isinstance(blocks, (list, tuple)) or not all(
+        isinstance(b, (list, tuple)) and all(type(e) is int for e in b) for b in blocks
+    ):
+        raise ArgumentError("a partition in JSON needs an integer n and blocks as a list of integer lists")
     if kind == "ncl":
         return NCLinkedPartition(n, blocks)
     if kind == "nc":

@@ -146,6 +146,39 @@ def test_kreweras_refuses_a_crossing_partition():
                 assert kreweras(p) == kreweras(NCPartition(n, blocks))
 
 
+def test_kreweras_keeps_the_complement_on_the_partition(monkeypatch):
+    parts = [p for n in range(1, 11) for p in enumerate_nc(n)]
+    complements = [kreweras(p) for p in parts]
+    real = NCPartition._from_canonical
+    built = []
+
+    def spy(cls, n, blocks):
+        built.append(blocks)
+        return real(n, blocks)
+
+    monkeypatch.setattr(NCPartition, "_from_canonical", classmethod(spy))
+    assert all(kreweras(p) is k for p, k in zip(parts, complements))
+    assert built == []
+    # A partition built by hand is another object: its complement is walked
+    # once, equals the shared one's, and is then kept on it too.
+    p = enumerate_nc(7)[100]
+    mine = NCPartition(7, p.blocks)
+    assert kreweras(mine) == kreweras(p) and kreweras(mine) is kreweras(mine)
+    assert built == [kreweras(p).blocks]
+    crossing = SetPartition(4, [(1, 3), (2, 4)])
+    for _ in range(2):
+        with pytest.raises(ArgumentError, match="crossing"):
+            kreweras(crossing)
+
+
+def test_kreweras_refuses_a_linked_partition():
+    linked = [g for n in range(1, 7) for g in enumerate_ncl(n) if 2 in g.cover_count.values()]
+    assert len(linked) == 319
+    for g in linked:
+        with pytest.raises(ArgumentError, match="set partition"):
+            kreweras(g)
+
+
 def test_enumerate_nc_returns_a_fresh_list_of_shared_partitions():
     first, second = enumerate_nc(6), enumerate_nc(6)
     assert first is not second
@@ -314,6 +347,24 @@ def test_partition_json_roundtrip():
     assert partition_from_json(p.to_json()) == p
     g = NCLinkedPartition(3, [[1, 2], [2, 3]])
     assert partition_from_json(g.to_json(), kind="ncl") == g
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 3},
+        {"blocks": [[1]]},
+        {"n": "3", "blocks": [[1, 2, 3]]},
+        {"n": 2, "blocks": [[1, None]]},
+        {"n": 3, "blocks": 5},
+        [1, 2],
+    ],
+    ids=["no-blocks", "no-n", "string-n", "none-element", "int-blocks", "list"],
+)
+def test_partition_from_json_refuses_a_malformed_form(data):
+    for kind in ("nc", "ncl", "set"):
+        with pytest.raises(ArgumentError):
+            partition_from_json(data, kind=kind)
 
 
 def test_ncl_guard():
