@@ -24,7 +24,15 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DomainError, NumericalError, UnsupportedDomainError
-from .series import ComplexRational, TruncatedSeries, _coerce, _json_fraction
+from .series import (
+    ComplexRational,
+    TruncatedSeries,
+    _coerce,
+    _json_field,
+    _json_float,
+    _json_fraction,
+    _json_pair,
+)
 from .transforms import (
     TransformBundle,
     _moments_from_eta,
@@ -41,6 +49,11 @@ def _as_complex(value):
     if isinstance(value, ComplexRational):
         return value.to_complex()
     return complex(value)
+
+
+def _json_double(value, what):
+    """A JSON number as a double: a float as it is, anything else through ``_json_float``."""
+    return value if type(value) is float else _json_float(value, what)
 
 
 def _unit(turn):
@@ -101,7 +114,11 @@ class CircleMeasure:
         """The law with moments 1..len(values), exact if every value is a ComplexRational."""
         vals = tuple(values)
         for v in vals:
-            if not abs(_as_complex(v)) <= 1 + _MOMENT_SLACK:
+            try:
+                bounded = abs(_as_complex(v)) <= 1 + _MOMENT_SLACK
+            except OverflowError:  # an exact moment beyond the range of a double
+                bounded = False
+            if not bounded:
                 raise ArgumentError("moments of a law on the circle are bounded by 1")
         mode = "exact" if all(isinstance(v, ComplexRational) for v in vals) else "approx"
         return cls("moments", series=TruncatedSeries([0, *vals], mode))
@@ -208,29 +225,32 @@ class CircleMeasure:
 
     @classmethod
     def from_json(cls, data, probability=True):
-        if not isinstance(data, dict):
-            raise ArgumentError(f"a measure must be a JSON object with a 'type' entry, not {data!r}")
-        kind = data.get("type")
+        """The law ``to_json`` wrote; a malformed form raises :class:`ArgumentError` naming its field.
+
+        A float moment or kernel parameter passes as it is, NaN and inf
+        included, and the law's own bound refuses it.
+        """
+        kind = _json_field(data, "type", "string", "a measure")
         if kind == "atomic":
-            return cls.atomic(
-                [
-                    (_json_fraction(a["turns"], "atom turns"), _json_fraction(a["weight"], "atom weight"))
-                    for a in data["atoms"]
-                ],
-                probability=probability,
-            )
+            atoms = []
+            for atom in _json_field(data, "atoms", "list", "an atomic measure"):
+                if not isinstance(atom, dict) or not {"turns", "weight"} <= atom.keys():
+                    raise ArgumentError(f"an atom in JSON is an object with the keys turns and weight, not {atom!r}")
+                atoms.append((_json_fraction(atom["turns"], "atom turns"), _json_fraction(atom["weight"], "atom weight")))
+            return cls.atomic(atoms, probability=probability)
         if kind == "haar":
             return cls.haar()
         if kind == "poisson":
-            re, im = data["alpha"]
-            return cls.poisson(complex(re, im))
+            alpha = _json_pair(_json_field(data, "alpha", "list", "a Poisson law"), "the kernel parameter")
+            return cls.poisson(complex(*(_json_double(x, "the kernel parameter") for x in alpha)))
         if kind == "moments":
             values = []
-            for re, im in data["values"]:
+            for value in _json_field(data, "values", "list", "a moment law"):
+                re, im = _json_pair(value, "a moment")
                 if isinstance(re, str) or isinstance(im, str):
                     values.append(ComplexRational(_json_fraction(re, "a moment"), _json_fraction(im, "a moment")))
                 else:
-                    values.append(complex(re, im))
+                    values.append(complex(_json_double(re, "a moment"), _json_double(im, "a moment")))
             return cls.moment_seq(values)
         raise ArgumentError(f"unknown measure type {kind!r}")
 

@@ -9,12 +9,19 @@ element, and a shared element must be the minimum of exactly one of the two
 blocks (both of which then have at least two elements).  Ordinary
 non-crossing partitions embed as the linked partitions with no shared
 elements.
+
+One recursion on the block containing 1 enumerates NC(n), its
+parity-constant part NC_s(2n) and the linked partitions NCL(n).  Between
+consecutive members of that block lie runs that are partitioned on their
+own; for NCL the run [a_j, a_(j+1)) starting at a member a_j is a linked
+partition whose first block, unless it is the singleton (a_j,), hangs off
+a_j (see :func:`_iter_nc`).
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from .errors import ArgumentError, NumericalError, ResourceLimitError
 
@@ -98,7 +105,7 @@ class SetPartition(_Blocks):
     def __init__(self, n, blocks):
         super().__init__(n, blocks)
         covered = sorted(e for b in self.blocks for e in b)
-        if covered != list(range(1, n + 1)):
+        if len(covered) != n or covered != list(range(1, n + 1)):
             raise ArgumentError(f"blocks must partition 1..{n} into disjoint sets")
 
 
@@ -172,10 +179,10 @@ def one_block(n):
 # Enumeration of NC(n)
 # ---------------------------------------------------------------------------
 
-def _iter_nc(n, step):
-    """Yield the blocks of the non-crossing partitions of {1..n} made by ``step``.
+def _iter_nc(n, step, linked=False):
+    """Yield the blocks of the non-crossing partitions of {1..n} made by ``step``, or of the linked ones.
 
-    Recursive on the block containing 1: it takes 1 and any of 1 + step,
+    Recursive on the block containing 1.  It takes 1 and any of 1 + step,
     1 + 2*step, ... up to n, and the runs of elements between its
     consecutive members (and after its maximum) are then partitioned
     independently, each without crossings.  Step 1 gives all of NC(n).
@@ -183,6 +190,19 @@ def _iter_nc(n, step):
     and parity-constancy survives the shift of a run, so the runs recurse
     with the same step.  Either way the partitions come out in one fixed
     order, which :func:`enumerate_nc_s` keeps.
+
+    ``linked`` gives NCL(n) on the same recursion (step 1).  Let the block
+    containing 1 be {1 < a_1 < ... < a_k}.  No other block holds 1, and none
+    holds some a_j as a non-minimum, since a shared element is the minimum
+    of exactly one of its two blocks.  So every other block lies in the gap
+    2..a_1 - 1, which holds any linked partition, or in one segment
+    [a_j, a_(j+1)) (the last ends at n), which holds a linked partition of
+    its own; there a_j lies in the segment's first block, which is dropped
+    when it is the singleton (a_j,) and otherwise hangs off a_j.  This is a
+    bijection, so the counts are the large Schroeder numbers.
+
+    Each run's blocks lie in its own interval, so the first block followed
+    by the runs' blocks in turn is already ordered by minima.
     """
     if n == 0:
         yield ()
@@ -191,23 +211,27 @@ def _iter_nc(n, step):
     for r in range(len(pool) + 1):
         for rest in combinations(pool, r):
             first = (1,) + rest
-            runs = tuple(
-                (lo, hi - lo - 1) for lo, hi in zip(first, first[1:] + (n + 1,)) if hi - lo > 1
-            )
-            for tail in _run_product(runs, step):
-                yield tuple(sorted((first,) + tail, key=lambda b: b[0]))
+            if linked:
+                ends = rest + (n + 1,)
+                runs = [(1, ends[0] - 2, False)] + [(lo - 1, hi - lo, True) for lo, hi in zip(rest, ends[1:])]
+            else:
+                runs = [(lo, hi - lo - 1, False) for lo, hi in zip(first, first[1:] + (n + 1,))]
+            choices = [_run_choices(off, size, headed, step, linked) for off, size, headed in runs if size]
+            for tail in product(*choices):
+                yield (first, *chain.from_iterable(tail))
 
 
-def _run_product(runs, step):
-    """Every choice of one partition per (offset, length) run, shifted into place."""
-    if not runs:
-        yield ()
-        return
-    (off, size), later = runs[0], runs[1:]
-    for part in _nc(size, step):
-        shifted = tuple(tuple(e + off for e in b) for b in part.blocks)
-        for rest in _run_product(later, step):
-            yield shifted + rest
+def _run_choices(off, size, headed, step, linked):
+    """The blocks of each partition of a run of ``size`` elements, shifted by ``off``.
+
+    A headed run starts at a member of the block containing 1, so its
+    leading singleton is dropped.
+    """
+    out = []
+    for part in _ncl_cached(size) if linked else _nc(size, step):
+        blocks = part.blocks[1:] if headed and part.blocks[0] == (1,) else part.blocks
+        out.append(tuple(tuple(e + off for e in b) for b in blocks))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -443,16 +467,18 @@ class NCLinkedPartition(_Blocks):
     A shared element must be the minimum of exactly one of the two blocks
     sharing it, and both of those blocks must have at least two elements.
     Every element is therefore covered once or twice, and block minima are
-    pairwise distinct.
+    pairwise distinct.  ``cover_count`` maps each element to the number of
+    blocks covering it; it is counted from the blocks on every read, so the
+    enumerated partitions store nothing beside their blocks.
     """
 
-    __slots__ = ("cover_count",)
+    __slots__ = ()
     _family = "ncl"
 
     def __init__(self, n, blocks):
         super().__init__(n, blocks)
-        count = Counter(e for b in self.blocks for e in b)
-        if sorted(count) != list(range(1, n + 1)):
+        count = self.cover_count
+        if len(count) != n or sorted(count) != list(range(1, n + 1)):
             raise ArgumentError(f"blocks must cover 1..{n}")
         for a, b in combinations(self.blocks, 2):
             shared = set(a) & set(b)
@@ -470,53 +496,16 @@ class NCLinkedPartition(_Blocks):
                 raise ArgumentError("blocks cross")
         if any(c > 2 for c in count.values()):
             raise ArgumentError("an element may lie in at most two blocks")
-        self.cover_count = count
 
-    @classmethod
-    def _from_canonical(cls, n, blocks):
-        self = super()._from_canonical(n, blocks)
-        self.cover_count = Counter(e for b in blocks for e in b)
-        return self
-
-
-def _iter_ncl(n):
-    """Generate linked partitions by a left-to-right stack walk.
-
-    Open blocks are nested, innermost on top.  Element j either opens a
-    fresh block, or joins an open block B -- closing every block nested
-    inside B -- and may at that moment also open a linked block with
-    minimum j on top of B.  A linked block must reach size two before it
-    closes.
-    """
-
-    def ok_to_close(entry):
-        elems, linked = entry
-        return not linked or len(elems) >= 2
-
-    def rec(j, stack, closed):
-        if j > n:
-            if all(ok_to_close(entry) for entry in stack):
-                yield closed + tuple(elems for elems, _ in stack)
-            return
-        yield from rec(j + 1, stack + (((j,), False),), closed)
-        for d in range(len(stack)):
-            above = stack[d + 1:]
-            if not all(ok_to_close(entry) for entry in above):
-                continue
-            elems, linked = stack[d]
-            base = stack[:d] + ((elems + (j,), linked),)
-            newly_closed = closed + tuple(e for e, _ in above)
-            yield from rec(j + 1, base, newly_closed)
-            yield from rec(j + 1, base + (((j,), True),), newly_closed)
-
-    for blocks in rec(1, (), ()):
-        yield tuple(sorted(blocks, key=lambda b: (b[0], b)))
+    @property
+    def cover_count(self):
+        return Counter(e for b in self.blocks for e in b)
 
 
 @lru_cache(maxsize=None)
 def _ncl_cached(n):
     out = [
-        NCLinkedPartition._from_canonical(n, blocks) for blocks in _iter_ncl(n)
+        NCLinkedPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, 1, linked=True)
     ]
     out.sort(key=lambda g: g.blocks)
     return tuple(out)
@@ -536,21 +525,28 @@ def ncl_classify(g):
     when its minimum is doubly covered (it hangs off a host block) or when
     some other block has elements weakly left of its minimum and strictly
     right of its maximum; exterior blocks are the rest.  ``singly`` and
-    ``doubly`` are the sets of elements covered once resp. twice.
+    ``doubly`` are the sets of elements covered once resp. twice.  A
+    non-crossing partition is classified as the linked partition with the
+    same blocks, which shares no element; anything else is refused.
     """
+    if isinstance(g, NCPartition):
+        g = NCLinkedPartition._from_canonical(g.n, g.blocks)
+    elif not isinstance(g, NCLinkedPartition):
+        raise ArgumentError(f"ncl_classify needs a linked or non-crossing partition, not {g!r}")
+    count = g.cover_count
     ext, intr = [], []
     for b in g.blocks:
         lo, hi = b[0], b[-1]
         # b hangs off a host when its minimum is shared; the host covers the
         # minimum as a non-minimal element, so b sits inside the host's arc.
-        hangs = g.cover_count[lo] == 2
+        hangs = count[lo] == 2
         spanned = any(d is not b and d[0] < lo and hi < d[-1] for d in g.blocks)
         if hangs or spanned:
             intr.append(b)
         else:
             ext.append(b)
-    singly = frozenset(e for e, c in g.cover_count.items() if c == 1)
-    doubly = frozenset(e for e, c in g.cover_count.items() if c == 2)
+    singly = frozenset(e for e, c in count.items() if c == 1)
+    doubly = frozenset(e for e, c in count.items() if c == 2)
     return tuple(ext), tuple(intr), singly, doubly
 
 

@@ -54,8 +54,9 @@ Fractions and ComplexRationals through ``_coerce``.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, isfinite, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import ArgumentError, DomainError
@@ -190,16 +191,36 @@ def _exact_parts(value):
     raise ArgumentError(f"cannot use {value!r} as an exact scalar")
 
 
-def _json_finite(value, what):
-    """A number read from JSON, refused if not finite: 1e400 parses to inf, NaN to nan."""
-    if isinstance(value, float) and not isfinite(value):
-        raise ArgumentError(f"{what} must be a finite number, not {value!r}")
-    return value
+def _json_float(value, what):
+    """A JSON number as a finite float.  1e400 parses to inf, NaN to nan, and a boolean is no number."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ArgumentError(f"{what} must be a finite number, not {value!r}")
 
 
 def _json_fraction(value, what):
-    """Fraction(value) for a finite number read from JSON."""
-    return Fraction(_json_finite(value, what))
+    """The exact value of a JSON integer, finite float or fraction string such as "-2/7"."""
+    if type(value) is not str:
+        return Fraction(value if type(value) is int else _json_float(value, what))
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ArgumentError(f"{what} must be a number or a fraction string, not {value!r}") from None
+
+
+def _json_field(data, key, kind, what):
+    """``data[key]``, refused unless ``data`` is an object whose ``key`` entry is a ``kind``."""
+    types = {"string": str, "list": (list, tuple)}[kind]
+    if not isinstance(data, dict) or not isinstance(data.get(key), types):
+        raise ArgumentError(f"{what} must be a JSON object whose {key!r} entry is a {kind}")
+    return data[key]
+
+
+def _json_pair(value, what):
+    """A JSON [re, im] pair, as it is; anything else is refused."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ArgumentError(f"{what} must be an [re, im] pair, not {value!r}")
+    return value
 
 
 # -- the exact kernel: products of lists of integer numerators ----------------
@@ -650,19 +671,20 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data):
         """The series ``to_json`` wrote: its order is one less than its coefficient count."""
-        order = data["order"]
-        if type(order) is not int or order != len(data["coeffs"]) - 1:
+        mode = _json_field(data, "mode", "string", "a series")
+        coeffs = [_json_pair(c, "a series coefficient") for c in _json_field(data, "coeffs", "list", "a series")]
+        order = data.get("order")
+        if type(order) is not int or order != len(coeffs) - 1:
             raise ArgumentError(f"a series order must be its coefficient count less one, not {order!r}")
-        mode = data["mode"]
         if mode == EXACT:
             coeffs = [
                 ComplexRational(_json_fraction(re, "a series coefficient"), _json_fraction(im, "a series coefficient"))
-                for re, im in data["coeffs"]
+                for re, im in coeffs
             ]
         elif mode == APPROX:
             coeffs = [
-                complex(_json_finite(re, "a series coefficient"), _json_finite(im, "a series coefficient"))
-                for re, im in data["coeffs"]
+                complex(_json_float(re, "a series coefficient"), _json_float(im, "a series coefficient"))
+                for re, im in coeffs
             ]
         else:
             raise ArgumentError(f"unknown mode {mode!r}")

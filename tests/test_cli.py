@@ -424,10 +424,12 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
          "scaling the generator overflows double precision"),
         (["semigroup", "--gen", "{atoms}", "--sigma-target", "{padded}", "--t", "1", "--order", "3"],
          "a series order must be its coefficient count less one, not 5"),
+        (["transform", "--in", "{no_atoms}", "--what", "r"], "an atomic measure must be a JSON object whose 'atoms' entry is a list"),
     ],
     ids=["gamma", "poisson", "moments", "moments-mixed-1e400", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
          "semigroup-approx-target-1e400", "semigroup-approx-target-nan",
-         "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order"],
+         "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order",
+         "no-atoms"],
 )
 def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     # json.load reads the bare token NaN as float("nan"), and a number too
@@ -452,6 +454,7 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
         "atoms": '{"gamma": [1, 0], "sigma": {"type": "atomic", "atoms": [{"turns": "1/3", "weight": "1/4"}]}}',
         "short": json.dumps(SIGMA_TARGET),
         "padded": json.dumps(dict(SIGMA_TARGET, order=5)),
+        "no_atoms": '{"type": "atomic"}',
     }.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

@@ -233,10 +233,12 @@ def digest(lists):
 
 def test_parity_classes_keep_their_frozen_order():
     # sha256 of the block lists for 2n = 2, 4, ..., 12, as the earlier
-    # filter over all of NC(2n) produced them.
+    # filter over all of NC(2n) produced them, and of NCL(1..9) as the
+    # earlier left-to-right stack walk produced it.
     sizes = range(2, 13, 2)
     assert digest(enumerate_nc_s(k) for k in sizes) == "1fd4cda468a53e536c2e3c7f7acc85d41159d4811bce3541e8f1ff652a325ac7"
     assert digest(enumerate_nc_0(k) for k in sizes) == "5abd3d542f07e6fc7a526a595e63909c0e35bd5e417dfee2743400851f112b3a"
+    assert digest(enumerate_ncl(n) for n in range(1, 10)) == "a5f838ef8d46c3b2e05b063cd160b0c818937c335270bdfbe43e5b6166a29cc2"
 
 
 def test_nc_s_does_not_enumerate_all_of_nc(monkeypatch):
@@ -306,7 +308,13 @@ def test_ncl_validation():
 
 
 def test_ncl_small_counts():
-    assert [len(enumerate_ncl(n)) for n in range(1, 5)] == [1, 2, 6, 22]
+    # |NCL(n)| is the large Schroeder number r_(n-1), where r_0 = 1 and
+    # r_m = r_(m-1) + sum_k r_k r_(m-1-k).
+    schroeder = [1]
+    for m in range(1, 9):
+        schroeder.append(schroeder[m - 1] + sum(schroeder[k] * schroeder[m - 1 - k] for k in range(m)))
+    assert schroeder[:4] == [1, 2, 6, 22]
+    assert [len(enumerate_ncl(n)) for n in range(1, 10)] == schroeder
     got3 = {g.blocks for g in enumerate_ncl(3)}
     assert got3 == {
         ((1,), (2,), (3,)),
@@ -342,6 +350,19 @@ def test_ncl_classify_single_exterior_example():
     assert len(intr) == 4
 
 
+def test_ncl_classify_embeds_non_crossing_partitions():
+    # A non-crossing partition is the linked partition with the same blocks.
+    for n in range(1, 9):
+        for p in enumerate_nc(n):
+            ext, intr, singly, doubly = ncl_classify(p)
+            assert (ext, intr) == (p.exterior_blocks(), p.interior_blocks())
+            assert singly == frozenset(range(1, n + 1)) and doubly == frozenset()
+    assert ncl_classify(NCPartition(3, [[1, 3], [2]]))[:2] == (((1, 3),), ((2,),))
+    for other in (SetPartition(4, [(1, 3), (2, 4)]), ((1, 2),), None):
+        with pytest.raises(ArgumentError, match="linked or non-crossing partition"):
+            ncl_classify(other)
+
+
 def test_partition_json_roundtrip():
     p = NCPartition(4, [[1, 4], [2, 3]])
     assert partition_from_json(p.to_json()) == p
@@ -358,8 +379,9 @@ def test_partition_json_roundtrip():
         {"n": 2, "blocks": [[1, None]]},
         {"n": 3, "blocks": 5},
         [1, 2],
+        {"n": 10**18, "blocks": [[1]]},
     ],
-    ids=["no-blocks", "no-n", "string-n", "none-element", "int-blocks", "list"],
+    ids=["no-blocks", "no-n", "string-n", "none-element", "int-blocks", "list", "n-far-beyond-the-blocks"],
 )
 def test_partition_from_json_refuses_a_malformed_form(data):
     for kind in ("nc", "ncl", "set"):
