@@ -28,6 +28,8 @@ from .measures import (
     semigroup_pair,
 )
 from .partitions import (
+    count_nc,
+    count_nc_s,
     enumerate_nc,
     enumerate_nc_0,
     enumerate_nc_s,
@@ -97,6 +99,12 @@ def _jsonable(value):
 
 
 def _cmd_nc(args):
+    # NC and NC_s are counted in closed form; NC_0 is enumerated, so that
+    # its complement-against-join cross-check runs.
+    closed_form = {"nc": count_nc, "nc_s": count_nc_s}
+    if args.count_only and args.cls in closed_form:
+        print(closed_form[args.cls](args.n))
+        return 0
     enumerate_class = {
         "nc": enumerate_nc,
         "nc_s": enumerate_nc_s,
@@ -273,7 +281,11 @@ def build_parser():
         default="nc",
         help="all noncrossing, parity-constant, or parity-alternating with even exteriors",
     )
-    p.add_argument("--count-only", action="store_true", help="print the count instead of the partitions")
+    p.add_argument(
+        "--count-only",
+        action="store_true",
+        help="print the count instead of the partitions; nc and nc_s are counted in closed form, without enumerating",
+    )
     p.set_defaults(handler=_cmd_nc)
 
     p = sub.add_parser("ncl", help="enumerate noncrossing linked partitions")

@@ -16,12 +16,20 @@ consecutive members of that block lie runs that are partitioned on their
 own; for NCL the run [a_j, a_(j+1)) starting at a member a_j is a linked
 partition whose first block, unless it is the singleton (a_j,), hangs off
 a_j (see :func:`_iter_nc`).
+
+The layer keeps one copy of each block and of each shared partition.
+Every block of an enumerated partition or of a built complement is interned:
+one tuple per value.  Runs of up to ``_CACHE_MAX`` elements are shifted once
+and shared between enumerations.  Once NC(n) is built, the Kreweras
+complement of any non-crossing partition of {1..n} is that enumeration's own
+partition, since the complement is a bijection of NC(n).
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import comb
 
 from .errors import ArgumentError, NumericalError, ResourceLimitError
 
@@ -33,6 +41,14 @@ NC0_MAX = 12
 NCL_MAX = 10
 
 _CACHE_MAX = 10  # enumerations up to this ground-set size are memoized
+
+# One tuple per block value: every block of an enumerated partition or of a
+# built complement goes through this table, which holds at most the 2^14 - 1
+# nonempty subsets of {1..NC_MAX}.
+_BLOCKS = {}
+
+_NC = {}  # (n, step) -> the partitions of _iter_nc, for n <= _CACHE_MAX
+_NC_INDEX = {}  # n -> {blocks: partition} over _NC[n, 1], made on the first complement asked for
 
 
 def blocks_cross(a, b):
@@ -179,7 +195,7 @@ def one_block(n):
 # Enumeration of NC(n)
 # ---------------------------------------------------------------------------
 
-def _iter_nc(n, step, linked=False):
+def _iter_nc(n, step, linked=False, memo=None):
     """Yield the blocks of the non-crossing partitions of {1..n} made by ``step``, or of the linked ones.
 
     Recursive on the block containing 1.  It takes 1 and any of 1 + step,
@@ -202,46 +218,73 @@ def _iter_nc(n, step, linked=False):
     bijection, so the counts are the large Schroeder numbers.
 
     Each run's blocks lie in its own interval, so the first block followed
-    by the runs' blocks in turn is already ordered by minima.
+    by the runs' blocks in turn is already ordered by minima.  Every block
+    is interned.  ``memo`` holds the enumerations of runs longer than
+    ``_CACHE_MAX``, so that one enumeration builds each such size once.
     """
     if n == 0:
         yield ()
         return
+    if memo is None:
+        memo = {}
     pool = range(1 + step, n + 1, step)
     for r in range(len(pool) + 1):
         for rest in combinations(pool, r):
             first = (1,) + rest
+            first = _BLOCKS.setdefault(first, first)
             if linked:
                 ends = rest + (n + 1,)
                 runs = [(1, ends[0] - 2, False)] + [(lo - 1, hi - lo, True) for lo, hi in zip(rest, ends[1:])]
             else:
                 runs = [(lo, hi - lo - 1, False) for lo, hi in zip(first, first[1:] + (n + 1,))]
-            choices = [_run_choices(off, size, headed, step, linked) for off, size, headed in runs if size]
+            choices = [_run_choices(off, size, headed, step, linked, memo) for off, size, headed in runs if size]
             for tail in product(*choices):
                 yield (first, *chain.from_iterable(tail))
 
 
-def _run_choices(off, size, headed, step, linked):
+def _run_choices(off, size, headed, step, linked, memo):
     """The blocks of each partition of a run of ``size`` elements, shifted by ``off``.
+
+    Runs of up to ``_CACHE_MAX`` elements are shifted once and shared, from
+    the shared enumerations; longer ones are shifted per call, from the
+    enumeration kept in ``memo``.
+    """
+    if size <= _CACHE_MAX:
+        return _shared_run_choices(off, size, headed, step, linked)
+    key = (size, step, linked)
+    if key not in memo:
+        memo[key] = list(_iter_nc(size, step, linked, memo))
+    return _shifted(off, headed, memo[key])
+
+
+@lru_cache(maxsize=None)
+def _shared_run_choices(off, size, headed, step, linked):
+    return _shifted(off, headed, [p.blocks for p in (_ncl_cached(size) if linked else _nc(size, step))])
+
+
+def _shifted(off, headed, runs):
+    """Each block list of ``runs`` shifted by ``off``, its blocks interned.
 
     A headed run starts at a member of the block containing 1, so its
     leading singleton is dropped.
     """
+    intern = _BLOCKS.setdefault
     out = []
-    for part in _ncl_cached(size) if linked else _nc(size, step):
-        blocks = part.blocks[1:] if headed and part.blocks[0] == (1,) else part.blocks
-        out.append(tuple(tuple(e + off for e in b) for b in blocks))
+    for blocks in runs:
+        if headed and blocks[0] == (1,):
+            blocks = blocks[1:]
+        out.append(tuple(intern(b, b) for b in (tuple(e + off for e in b) for b in blocks)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _nc_cached(n, step):
-    return tuple(NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step))
 
 
 def _nc(n, step):
     """The partitions of :func:`_iter_nc`, built once and shared up to ``_CACHE_MAX``."""
-    return (_nc_cached if n <= _CACHE_MAX else _nc_cached.__wrapped__)(n, step)
+    parts = _NC.get((n, step))
+    if parts is None:
+        parts = tuple(NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step))
+        if n <= _CACHE_MAX:
+            _NC[n, step] = parts
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -249,14 +292,26 @@ def _sorted_nc(n):
     return tuple(sorted(_nc(n, 1), key=lambda p: p.blocks))
 
 
+def _nc_guard(n):
+    if not 1 <= n <= NC_MAX:
+        raise ResourceLimitError(f"enumerate_nc supports 1 <= n <= {NC_MAX}")
+
+
+def count_nc(n):
+    """|NC(n)|, the Catalan number C(2n, n)/(n + 1), without enumerating; n is guarded as in :func:`enumerate_nc`."""
+    _nc_guard(n)
+    return comb(2 * n, n) // (n + 1)
+
+
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n}, in canonical order.
 
     Up to ``_CACHE_MAX`` the partitions are built once and shared: each call
-    returns a fresh list of the same objects.
+    returns a fresh list of the same objects, and :func:`kreweras` maps each
+    of them to another of them.  Their blocks are interned, one tuple per
+    value, at every size.
     """
-    if not 1 <= n <= NC_MAX:
-        raise ResourceLimitError(f"enumerate_nc supports 1 <= n <= {NC_MAX}")
+    _nc_guard(n)
     return list((_sorted_nc if n <= _CACHE_MAX else _sorted_nc.__wrapped__)(n))
 
 
@@ -281,7 +336,11 @@ def kreweras(p):
     The complement of an :class:`NCPartition` is kept on it, so every later
     call on the same object returns the same object; :func:`enumerate_nc`
     shares its partitions up to ``_CACHE_MAX``, so repeated sums over NC(n)
-    walk each one once.  A crossing :class:`SetPartition` is refused on
+    walk each one once.  When NC(n) is already built, the complement is its
+    partition with the walked blocks, found through an index from blocks
+    made once per n; this holds for a partition built by hand too, and the
+    lookup never starts an enumeration.  Otherwise the complement is built
+    from interned blocks.  A crossing :class:`SetPartition` is refused on
     every call, and anything else, a linked partition included, is refused
     before the walk.
     """
@@ -312,10 +371,30 @@ def kreweras(p):
         blocks.append(tuple(cycle))
     if len(p.blocks) + len(blocks) != n + 1:
         raise ArgumentError(f"{p!r} is crossing; the Kreweras complement needs a non-crossing partition")
-    complement = NCPartition._from_canonical(n, tuple(blocks))
+    blocks = tuple(blocks)
+    complement = _enumerated_nc(n, blocks)
+    if complement is None:
+        if n <= NC_MAX:
+            blocks = tuple(_BLOCKS.setdefault(b, b) for b in blocks)
+        complement = NCPartition._from_canonical(n, blocks)
     if isinstance(p, NCPartition):
         p._complement = complement
     return complement
+
+
+def _enumerated_nc(n, blocks):
+    """The partition of NC(n) with these blocks, if NC(n) is built; else None.
+
+    The index from blocks to partitions is made once per n, and only for
+    an enumeration that already exists.
+    """
+    index = _NC_INDEX.get(n)
+    if index is None:
+        parts = _NC.get((n, 1))
+        if parts is None:
+            return None
+        index = _NC_INDEX[n] = {p.blocks: p for p in parts}
+    return index[blocks]
 
 
 def nc_join(p, q):
@@ -393,12 +472,23 @@ def _parity_part(p, parity):
     return NCPartition._from_canonical(p.n // 2, blocks)
 
 
-def enumerate_nc_s(two_n):
-    """Non-crossing partitions of {1..2n} whose blocks have constant parity."""
+def _nc_s_guard(two_n):
     if two_n % 2 != 0 or not 2 <= two_n <= NCS_MAX:
         raise ResourceLimitError(
             f"enumerate_nc_s needs an even ground set of size <= {NCS_MAX}"
         )
+
+
+def count_nc_s(two_n):
+    """|NC_s(2k)| = C(3k, k)/(2k + 1), without enumerating; 2k is guarded as in :func:`enumerate_nc_s`."""
+    _nc_s_guard(two_n)
+    k = two_n // 2
+    return comb(3 * k, k) // (2 * k + 1)
+
+
+def enumerate_nc_s(two_n):
+    """Non-crossing partitions of {1..2n} whose blocks have constant parity."""
+    _nc_s_guard(two_n)
     return list(_nc(two_n, 2))
 
 

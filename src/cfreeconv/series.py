@@ -54,6 +54,7 @@ Fractions and ComplexRationals through ``_coerce``.
 """
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -198,10 +199,25 @@ def _json_float(value, what):
     raise ArgumentError(f"{what} must be a finite number, not {value!r}")
 
 
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+
+
 def _json_fraction(value, what):
-    """The exact value of a JSON integer, finite float or fraction string such as "-2/7"."""
+    """The exact value of a JSON integer, finite float or fraction string such as "-2/7".
+
+    ``Fraction("1e10000000")`` builds the whole power of ten, so a string's
+    decimal exponent is refused beyond the interpreter's limit on integer
+    digits (``sys.get_int_max_str_digits()``, or 4300 where that is 0 or
+    missing) before the value is built.
+    """
     if type(value) is not str:
         return Fraction(value if type(value) is int else _json_float(value, what))
+    exponent = _EXPONENT.search(value)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ArgumentError(f"{what} has a decimal exponent beyond {limit} in magnitude: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):

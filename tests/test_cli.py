@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from cfreeconv import errors, transforms, verify
 from cfreeconv.cli import main
 from cfreeconv.measures import CircleMeasure, boolean_convolve, free_multiplicative_convolve
+from cfreeconv.partitions import enumerate_nc, enumerate_nc_s
 from cfreeconv.series import TruncatedSeries
 
 
@@ -39,6 +41,26 @@ def test_nc_counts_and_listing(capsys):
     for cls, want in (("nc_s", "3"), ("nc_0", "2")):
         assert main(["nc", "--n", "4", "--class", cls, "--count-only"]) == 0
         assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("cls, sizes, enumerate_class", [("nc", range(1, 13), enumerate_nc), ("nc_s", range(2, 15, 2), enumerate_nc_s)])
+def test_count_only_matches_the_enumeration(capsys, cls, sizes, enumerate_class):
+    for n in sizes:
+        assert main(["nc", "--n", str(n), "--class", cls, "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{len(enumerate_class(n))}\n"
+
+
+def test_count_only_of_nc_14_does_not_enumerate():
+    # All 2,674,440 partitions of NC(14) took tens of seconds and over a
+    # gigabyte to count by enumeration.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "cfreeconv.cli", "nc", "--n", "14", "--count-only"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2674440\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nc_odd_parity_class_fails(capsys):
@@ -463,3 +485,27 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv, text, field",
+    [
+        (["transform", "--in", "{}", "--what", "r"], '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e10000000"}]}', "atom weight"),
+        (["transform", "--in", "{}", "--what", "r"], '{"type": "moments", "values": [["1e10000000", "0"]]}', "a moment"),
+        (["semigroup", "--gen", "GEN", "--sigma-target", "{}", "--t", "1"],
+         '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], ["0", "1e10000000"]]}', "a series coefficient"),
+    ],
+    ids=["atom-weight", "moment", "series-coefficient"],
+)
+def test_a_huge_decimal_exponent_is_refused_before_it_is_built(tmp_path, capsys, argv, text, field):
+    # Fraction("1e10000000") builds the power of ten: 14.7 s for the atom
+    # weight before its bound refused it.
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    gen = write(tmp_path / "gen.json", {"gamma": [1, 0]})
+    start = time.perf_counter()
+    assert main([gen if arg == "GEN" else arg.format(path) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} has a decimal exponent beyond 4300 in magnitude: '1e10000000'\n"

@@ -5,6 +5,8 @@
 user, so a malformed form must end in a ``CfreeError`` (exit status 2 with
 a message), never in a ``KeyError``, ``TypeError`` or a traceback.
 """
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from cfreeconv.errors import ArgumentError, CfreeError
 from cfreeconv.measures import CircleMeasure
 from cfreeconv.partitions import partition_from_json
-from cfreeconv.series import TruncatedSeries
+from cfreeconv.series import ComplexRational, TruncatedSeries
 
 MALFORMED_MEASURES = {
     "no-atoms": ({"type": "atomic"}, "'atoms'"),
@@ -33,6 +35,9 @@ MALFORMED_MEASURES = {
     "value-bool": ({"type": "moments", "values": [[True, 0]]}, "a moment"),
     "value-beyond-a-double": ({"type": "moments", "values": [["1e400", "0"]]}, "bounded by 1"),
     "type-int": ({"type": 5}, "'type'"),
+    "weight-1e10000000": ({"type": "atomic", "atoms": [{"turns": "0", "weight": "1e10000000"}]}, "atom weight has a decimal exponent"),
+    "turns-1e-10000000": ({"type": "atomic", "atoms": [{"turns": "1E-1_0000000", "weight": "1"}]}, "atom turns has a decimal exponent"),
+    "value-1e10000000": ({"type": "moments", "values": [["1.5e+10000000", "0"]]}, "a moment has a decimal exponent"),
 }
 
 MALFORMED_SERIES = {
@@ -44,6 +49,7 @@ MALFORMED_SERIES = {
     "exact-bool": ({"order": 0, "mode": "exact", "coeffs": [[True, "1"]]}, "a series coefficient"),
     "approx-beyond-a-double": ({"order": 0, "mode": "approx", "coeffs": [[10**400, 0]]}, "a series coefficient"),
     "list": ([1], "'mode'"),
+    "exact-1e10000000": ({"order": 0, "mode": "exact", "coeffs": [["1", " 1e10000000 "]]}, "a series coefficient has a decimal exponent"),
 }
 
 
@@ -58,6 +64,11 @@ def test_a_malformed_series_is_refused_by_name(data, field):
     with pytest.raises(ArgumentError, match=field):
         TruncatedSeries.from_json(data)
 
+
+
+def test_a_decimal_exponent_at_the_limit_is_read():
+    series = TruncatedSeries.from_json({"order": 0, "mode": "exact", "coeffs": [["1e-4300", "-2e4_300"]]})
+    assert series.coeffs[0] == ComplexRational(Fraction(1, 10**4300), Fraction(-2 * 10**4300))
 
 # -- the fuzz --------------------------------------------------------------------
 

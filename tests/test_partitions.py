@@ -1,6 +1,9 @@
 """Partition machinery against brute-force oracles and frozen small cases."""
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -159,16 +162,66 @@ def test_kreweras_keeps_the_complement_on_the_partition(monkeypatch):
     monkeypatch.setattr(NCPartition, "_from_canonical", classmethod(spy))
     assert all(kreweras(p) is k for p, k in zip(parts, complements))
     assert built == []
-    # A partition built by hand is another object: its complement is walked
-    # once, equals the shared one's, and is then kept on it too.
+    # A partition built by hand is another object, but once NC(7) is built
+    # its complement is the shared one, and nothing is built for it.
     p = enumerate_nc(7)[100]
     mine = NCPartition(7, p.blocks)
-    assert kreweras(mine) == kreweras(p) and kreweras(mine) is kreweras(mine)
-    assert built == [kreweras(p).blocks]
+    assert mine is not p and kreweras(mine) is kreweras(p)
+    assert built == []
     crossing = SetPartition(4, [(1, 3), (2, 4)])
     for _ in range(2):
         with pytest.raises(ArgumentError, match="crossing"):
             kreweras(crossing)
+
+
+@pytest.fixture
+def iter_nc_calls(monkeypatch):
+    """The (n, step) of every call of the enumeration recursion, in order."""
+    real = partitions._iter_nc
+    calls = []
+
+    def spy(n, step=1, *rest, **options):
+        calls.append((n, step))
+        return real(n, step, *rest, **options)
+
+    monkeypatch.setattr(partitions, "_iter_nc", spy)
+    return calls
+
+
+def test_kreweras_on_an_unbuilt_nc_enumerates_nothing(monkeypatch, iter_nc_calls):
+    monkeypatch.setattr(partitions, "_NC", {})
+    monkeypatch.setattr(partitions, "_NC_INDEX", {})
+    for p in (NCPartition(7, [(1, 4), (2, 3), (5, 6, 7)]), NCPartition(12, [(1, 12), (2, 5), (6, 11)] + [(k,) for k in (3, 4, 7, 8, 9, 10)])):
+        assert kreweras(p).blocks == kreweras_by_faces(p)
+    assert iter_nc_calls == [] and partitions._NC == {} and partitions._NC_INDEX == {}
+
+
+def test_blocks_are_interned():
+    # One tuple per block value across NC(1..10), their complements, NCL(1..8)
+    # and NC_s(2..12); the first three hold every nonempty subset of {1..10}.
+    nc = [p for n in range(1, 11) for p in enumerate_nc(n)]
+    families = nc + [kreweras(p) for p in nc] + [g for n in range(1, 9) for g in enumerate_ncl(n)]
+    blocks = [b for p in families for b in p.blocks]
+    assert len({id(b) for b in blocks}) == len(set(blocks)) == 1023
+    blocks += [b for k in range(2, 13, 2) for p in enumerate_nc_s(k) for b in p.blocks]
+    assert len({id(b) for b in blocks}) == len(set(blocks))
+
+
+def test_partition_tables_stay_small():
+    # NC(1..10), their complements and NCL(1..8) held 21.4 MiB when each
+    # block and each complement was its own object.
+    script = (
+        "import tracemalloc\n"
+        "from cfreeconv.partitions import enumerate_nc, enumerate_ncl, kreweras\n"
+        "tracemalloc.start()\n"
+        "nc = [enumerate_nc(n) for n in range(1, 11)]\n"
+        "held = nc, [[kreweras(p) for p in ps] for ps in nc], [enumerate_ncl(n) for n in range(1, 9)]\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert int(out.stdout) < 10 * 2**20
 
 
 def test_kreweras_refuses_a_linked_partition():
@@ -233,26 +286,26 @@ def digest(lists):
 
 def test_parity_classes_keep_their_frozen_order():
     # sha256 of the block lists for 2n = 2, 4, ..., 12, as the earlier
-    # filter over all of NC(2n) produced them, and of NCL(1..9) as the
-    # earlier left-to-right stack walk produced it.
+    # filter over all of NC(2n) produced them, of NCL(1..9) as the earlier
+    # left-to-right stack walk produced it, and of NC(1..10) as it was
+    # before blocks were interned.
     sizes = range(2, 13, 2)
+    assert digest(enumerate_nc(n) for n in range(1, 11)) == "087614712cd85422a32a9ee1596a01bea2c7221bdddb29387d6cef058a0620ae"
     assert digest(enumerate_nc_s(k) for k in sizes) == "1fd4cda468a53e536c2e3c7f7acc85d41159d4811bce3541e8f1ff652a325ac7"
     assert digest(enumerate_nc_0(k) for k in sizes) == "5abd3d542f07e6fc7a526a595e63909c0e35bd5e417dfee2743400851f112b3a"
     assert digest(enumerate_ncl(n) for n in range(1, 10)) == "a5f838ef8d46c3b2e05b063cd160b0c818937c335270bdfbe43e5b6166a29cc2"
 
 
-def test_nc_s_does_not_enumerate_all_of_nc(monkeypatch):
-    real = partitions._iter_nc
-    sizes = []
-
-    def spy(n, *step):
-        if step in ((), (1,)):
-            sizes.append(n)
-        return real(n, *step)
-
-    monkeypatch.setattr(partitions, "_iter_nc", spy)
+def test_nc_s_does_not_enumerate_all_of_nc(iter_nc_calls):
     assert len(enumerate_nc_s(12)) == 1428
-    assert 12 not in sizes
+    assert (12, 1) not in iter_nc_calls
+
+
+def test_an_enumeration_builds_each_long_run_once(iter_nc_calls):
+    # Runs longer than _CACHE_MAX are not shared between calls, but one
+    # enumeration builds each of their sizes once.
+    assert len(enumerate_nc_s(14)) == 7752
+    assert sorted(n for n, _ in iter_nc_calls if n > partitions._CACHE_MAX) == [11, 12, 13, 14]
 
 
 def test_nc_0_cross_check_catches_a_wrong_complement(monkeypatch):
