@@ -30,10 +30,10 @@ from .measures import (
 from .partitions import (
     count_nc,
     count_nc_s,
-    enumerate_nc,
     enumerate_nc_0,
     enumerate_nc_s,
     enumerate_ncl,
+    iter_nc,
     ncl_classify,
 )
 from .series import TruncatedSeries
@@ -99,23 +99,14 @@ def _jsonable(value):
 
 
 def _cmd_nc(args):
-    # NC and NC_s are counted in closed form; NC_0 is enumerated, so that
-    # its complement-against-join cross-check runs.
-    closed_form = {"nc": count_nc, "nc_s": count_nc_s}
-    if args.count_only and args.cls in closed_form:
-        print(closed_form[args.cls](args.n))
-        return 0
-    enumerate_class = {
-        "nc": enumerate_nc,
-        "nc_s": enumerate_nc_s,
-        "nc_0": enumerate_nc_0,
-    }[args.cls]
-    items = enumerate_class(args.n)
+    # NC and NC_s are counted in closed form; NC_0 is enumerated, so that its
+    # complement-against-join cross-check runs.  NC is listed as generated.
     if args.count_only:
-        print(len(items))
-    else:
-        for p in items:
-            _print_json(p.to_json())
+        count = {"nc": count_nc, "nc_s": count_nc_s}.get(args.cls, lambda n: len(enumerate_nc_0(n)))
+        print(count(args.n))
+        return 0
+    for p in {"nc": iter_nc, "nc_s": enumerate_nc_s, "nc_0": enumerate_nc_0}[args.cls](args.n):
+        _print_json(p.to_json())
     return 0
 
 
@@ -279,7 +270,7 @@ def build_parser():
         dest="cls",
         choices=("nc", "nc_s", "nc_0"),
         default="nc",
-        help="all noncrossing, parity-constant, or parity-alternating with even exteriors",
+        help="all noncrossing, printed as they are generated; parity-constant; or parity-alternating with even exteriors",
     )
     p.add_argument(
         "--count-only",

@@ -15,7 +15,8 @@ parity-constant part NC_s(2n) and the linked partitions NCL(n).  Between
 consecutive members of that block lie runs that are partitioned on their
 own; for NCL the run [a_j, a_(j+1)) starting at a member a_j is a linked
 partition whose first block, unless it is the singleton (a_j,), hangs off
-a_j (see :func:`_iter_nc`).
+a_j (see :func:`_iter_nc`).  NC(n) and NCL(n) come out in canonical order,
+with no sort; NC_s keeps its generation order, which is not sorted.
 
 The layer keeps one copy of each block and of each shared partition.
 Every block of an enumerated partition or of a built complement is interned:
@@ -201,11 +202,11 @@ def _iter_nc(n, step, linked=False, memo=None):
     Recursive on the block containing 1.  It takes 1 and any of 1 + step,
     1 + 2*step, ... up to n, and the runs of elements between its
     consecutive members (and after its maximum) are then partitioned
-    independently, each without crossings.  Step 1 gives all of NC(n).
-    Step 2 gives the parity-constant ones: the first block keeps one parity,
-    and parity-constancy survives the shift of a run, so the runs recurse
-    with the same step.  Either way the partitions come out in one fixed
-    order, which :func:`enumerate_nc_s` keeps.
+    independently, each without crossings.  Step 1 gives all of NC(n), and
+    takes the rest of the first block in lexicographic order.  Step 2 gives
+    the parity-constant ones: the first block keeps one parity, and
+    parity-constancy survives the shift of a run, so the runs recurse with
+    the same step.  It takes the rest by size, the order NC_s keeps.
 
     ``linked`` gives NCL(n) on the same recursion (step 1).  Let the block
     containing 1 be {1 < a_1 < ... < a_k}.  No other block holds 1, and none
@@ -217,10 +218,11 @@ def _iter_nc(n, step, linked=False, memo=None):
     when it is the singleton (a_j,) and otherwise hangs off a_j.  This is a
     bijection, so the counts are the large Schroeder numbers.
 
-    Each run's blocks lie in its own interval, so the first block followed
-    by the runs' blocks in turn is already ordered by minima.  Every block
-    is interned.  ``memo`` holds the enumerations of runs longer than
-    ``_CACHE_MAX``, so that one enumeration builds each such size once.
+    The first block followed by the runs' blocks in turn is ordered by
+    minima.  Two partitions of one run cover the same elements, so neither
+    block list is a prefix of the other: runs in canonical order make step 1
+    and ``linked`` yield canonical order.  Every block is interned.  ``memo``
+    holds the runs longer than ``_CACHE_MAX``, built once per enumeration.
     """
     if n == 0:
         yield ()
@@ -228,18 +230,26 @@ def _iter_nc(n, step, linked=False, memo=None):
     if memo is None:
         memo = {}
     pool = range(1 + step, n + 1, step)
-    for r in range(len(pool) + 1):
-        for rest in combinations(pool, r):
-            first = (1,) + rest
-            first = _BLOCKS.setdefault(first, first)
-            if linked:
-                ends = rest + (n + 1,)
-                runs = [(1, ends[0] - 2, False)] + [(lo - 1, hi - lo, True) for lo, hi in zip(rest, ends[1:])]
-            else:
-                runs = [(lo, hi - lo - 1, False) for lo, hi in zip(first, first[1:] + (n + 1,))]
-            choices = [_run_choices(off, size, headed, step, linked, memo) for off, size, headed in runs if size]
-            for tail in product(*choices):
-                yield (first, *chain.from_iterable(tail))
+    by_size = chain.from_iterable(combinations(pool, r) for r in range(len(pool) + 1))
+    for rest in _subsets(pool) if step == 1 else by_size:
+        first = (1,) + rest
+        first = _BLOCKS.setdefault(first, first)
+        if linked:
+            ends = rest + (n + 1,)
+            runs = [(1, ends[0] - 2, False)] + [(lo - 1, hi - lo, True) for lo, hi in zip(rest, ends[1:])]
+        else:
+            runs = [(lo, hi - lo - 1, False) for lo, hi in zip(first, first[1:] + (n + 1,))]
+        choices = [_run_choices(off, size, headed, step, linked, memo) for off, size, headed in runs if size]
+        for tail in product(*choices):
+            yield (first, *chain.from_iterable(tail))
+
+
+def _subsets(pool):
+    """The subsets of the ascending ``pool`` in lexicographic order: each before its extensions."""
+    yield ()
+    for i, e in enumerate(pool):
+        for rest in _subsets(pool[i + 1:]):
+            yield (e, *rest)
 
 
 def _run_choices(off, size, headed, step, linked, memo):
@@ -266,7 +276,8 @@ def _shifted(off, headed, runs):
     """Each block list of ``runs`` shifted by ``off``, its blocks interned.
 
     A headed run starts at a member of the block containing 1, so its
-    leading singleton is dropped.
+    leading singleton is dropped, and its lists are sorted again: in NCL(3),
+    ((1, 2), (2, 3)) precedes ((1, 2), (3,)).
     """
     intern = _BLOCKS.setdefault
     out = []
@@ -274,22 +285,20 @@ def _shifted(off, headed, runs):
         if headed and blocks[0] == (1,):
             blocks = blocks[1:]
         out.append(tuple(intern(b, b) for b in (tuple(e + off for e in b) for b in blocks)))
-    return out
+    return sorted(out) if headed else out
 
 
 def _nc(n, step):
-    """The partitions of :func:`_iter_nc`, built once and shared up to ``_CACHE_MAX``."""
-    parts = _NC.get((n, step))
-    if parts is None:
-        parts = tuple(NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step))
-        if n <= _CACHE_MAX:
-            _NC[n, step] = parts
-    return parts
+    """The partitions of :func:`_iter_nc`: built once and shared up to ``_CACHE_MAX``, generated one by one above."""
+    if n <= _CACHE_MAX:
+        return _shared_nc(n, step)
+    return (NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step))
 
 
 @lru_cache(maxsize=None)
-def _sorted_nc(n):
-    return tuple(sorted(_nc(n, 1), key=lambda p: p.blocks))
+def _shared_nc(n, step):
+    # Kept in _NC too, where kreweras looks for NC(n) without building it.
+    return _NC.setdefault((n, step), tuple(NCPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, step)))
 
 
 def _nc_guard(n):
@@ -304,15 +313,19 @@ def count_nc(n):
 
 
 def enumerate_nc(n):
-    """All non-crossing partitions of {1..n}, in canonical order.
+    """All non-crossing partitions of {1..n}, in canonical order, the order the recursion yields.
 
-    Up to ``_CACHE_MAX`` the partitions are built once and shared: each call
-    returns a fresh list of the same objects, and :func:`kreweras` maps each
-    of them to another of them.  Their blocks are interned, one tuple per
-    value, at every size.
+    Up to ``_CACHE_MAX`` each call returns a fresh list of the same shared
+    objects, which :func:`kreweras` maps to each other.  Their blocks are
+    interned, one tuple per value, at every size.
     """
+    return list(iter_nc(n))
+
+
+def iter_nc(n):
+    """The partitions of :func:`enumerate_nc` one by one; above ``_CACHE_MAX``, as the recursion yields them."""
     _nc_guard(n)
-    return list((_sorted_nc if n <= _CACHE_MAX else _sorted_nc.__wrapped__)(n))
+    return iter(_nc(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +607,7 @@ class NCLinkedPartition(_Blocks):
 
 @lru_cache(maxsize=None)
 def _ncl_cached(n):
-    out = [
-        NCLinkedPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, 1, linked=True)
-    ]
-    out.sort(key=lambda g: g.blocks)
-    return tuple(out)
+    return tuple(NCLinkedPartition._from_canonical(n, blocks) for blocks in _iter_nc(n, 1, linked=True))
 
 
 def enumerate_ncl(n):

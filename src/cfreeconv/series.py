@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, NumericalError
 
 EXACT = "exact"
 APPROX = "approx"
@@ -672,7 +672,13 @@ class TruncatedSeries:
         # 0.0 + keeps the +0.0 that complex(Fraction, Fraction) gives an
         # imaginary part that underflows.
         den = self._den
-        return TruncatedSeries._from_complex([complex(r / den, 0.0 + i / den) for r, i in zip(self._re, self._im)])
+        coeffs = []
+        for k, (r, i) in enumerate(zip(self._re, self._im)):
+            try:
+                coeffs.append(complex(r / den, 0.0 + i / den))
+            except OverflowError:
+                raise NumericalError(f"coefficient {k} of an exact series overflows double precision") from None
+        return TruncatedSeries._from_complex(coeffs)
 
     # -- serialization -------------------------------------------------------
 

@@ -334,6 +334,27 @@ def point_mass_laws(order, rng):
     want = CircleMeasure.point_mass(Fraction(3, 4)).moment_series(order)
     _ensure(boolean_convolve(a, b, order).moment_series(order) == want, "boolean point masses")
     _ensure(free_multiplicative_convolve(a, b, order).moment_series(order) == want, "free point masses")
+    # Over uniform psi-laws the c-free product has the phi-moments (m_1 m_1')^k.
+    # Given as moment lists, these quarter-turn laws have dyadic moments, which
+    # the approx branch rounds nowhere below order 16.
+    n = min(order, 16)
+    laws = [
+        CircleMeasure.moment_seq(law.moment_series(n).coeffs[1:])
+        for law in (
+            CircleMeasure.atomic([(0, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))]),
+            CircleMeasure.atomic([(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 4))]),
+        )
+    ]
+    c = laws[0].moment_series(1).coeffs[1] * laws[1].moment_series(1).coeffs[1]
+    powers = [c]
+    while len(powers) < n:
+        powers.append(powers[-1] * c)
+    uniform = [MeasurePair(law, CircleMeasure.haar()) for law in laws]
+    exact = cfree_multiplicative_convolve(*uniform, n, "exact").mu.moment_series(n)
+    _ensure(exact == TruncatedSeries.exact([0, *powers]), "uniform pair, exact")
+    approx = cfree_multiplicative_convolve(*uniform, n, "approx").mu.moment_series(n, "approx")
+    gap = max(abs(x - y) / abs(y) for x, y in zip(approx.coeffs[1:], exact.to_approx().coeffs[1:]))
+    _ensure(gap <= 1e-15, f"uniform pair, approx against exact: relative gap {gap}")
     return "quarter-turn point masses, exact"
 
 
@@ -343,6 +364,8 @@ def herglotz_constants(order, rng):
     series = herglotz_exp(g, -1, order)
     _ensure(abs(series.coeffs[0] - math.exp(-s)) < 1e-13, "constant term")
     _ensure(abs(series.coeffs[1] + 2 * s * math.exp(-s)) < 1e-13, "first coefficient")
+    first = herglotz_exp(g, -1, 1)
+    _ensure(first.order == 1 and abs(first.coeffs[1] - series.coeffs[1]) < 1e-13, "order 1 keeps sigma's moment")
     flipped = herglotz_exp(g, 1, order) * series
     _ensure(
         all(abs(c) < 1e-12 for c in flipped.coeffs[1:])
@@ -361,7 +384,10 @@ def idiv_roots(order, rng):
         ),
     )
     n_ord = min(order, 6)
-    whole = b_series(idiv_boolean_measure(g, n_ord).moment_series(n_ord, "approx"))
+    law = idiv_boolean_measure(g, n_ord).moment_series(n_ord, "approx")
+    first = idiv_boolean_measure(g, 1).moment_series(1, "approx")
+    _ensure(abs(first.coeffs[1] - law.coeffs[1]) < 1e-13, "boolean law at order 1")
+    whole = b_series(law)
     for n in (2, 3, 5):
         root_law = idiv_boolean_measure(g.scaled(Fraction(1, n)), n_ord)
         root = b_series(root_law.moment_series(n_ord, "approx"))
@@ -424,6 +450,8 @@ def limit_trend(order, rng):
     for row in report["rows"]:
         sup[row["n"]] = max(sup.get(row["n"], 0.0), row["gap"])
     _ensure(sup[2] > sup[4], f"gap did not shrink: {sup}")
+    fitted = report["summary"]["fit"]["sigma_moments"]
+    _ensure(len(fitted) == 3, f"{len(fitted)} fitted sigma moments, not 3")
     return f"sup gap {sup[2]:.3f} -> {sup[4]:.3f}"
 
 

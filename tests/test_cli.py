@@ -63,6 +63,30 @@ def test_count_only_of_nc_14_does_not_enumerate():
     assert time.perf_counter() - start < 1.0
 
 
+def test_nc_listing_streams():
+    # The listing of NC(12) used to wait for the whole sorted list, at a
+    # child peak RSS of 67.8 MB; its stdout is unchanged.  A small process
+    # starts the child: exec carries the starting process's peak RSS over
+    # into the child's ru_maxrss, and this one holds the whole test run.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import hashlib, os, subprocess, sys\n"
+        "child = subprocess.Popen([sys.executable, '-m', 'cfreeconv.cli', 'nc', '--n', '12'], stdout=subprocess.PIPE)\n"
+        "digest = hashlib.sha256()\n"
+        "for chunk in iter(lambda: child.stdout.read(1 << 16), b''):\n"
+        "    digest.update(chunk)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "child.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(child.returncode, digest.hexdigest(), usage.ru_maxrss)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, digest, peak_kb = done.stdout.split()
+    assert code == "0"
+    assert digest == "9fcc629124d7313ad9ee3718a3a2d402027645e72bdbb37c77536f76581c5335"
+    assert int(peak_kb) < 50 * 1024
+
+
 def test_nc_odd_parity_class_fails(capsys):
     assert main(["nc", "--n", "3", "--class", "nc_0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -447,11 +471,13 @@ def test_measure_that_is_not_an_object_exits_2(tmp_path, capsys, argv):
         (["semigroup", "--gen", "{atoms}", "--sigma-target", "{padded}", "--t", "1", "--order", "3"],
          "a series order must be its coefficient count less one, not 5"),
         (["transform", "--in", "{no_atoms}", "--what", "r"], "an atomic measure must be a JSON object whose 'atoms' entry is a list"),
+        (["semigroup", "--gen", "{half}", "--sigma-target", "{exact_big}", "--t", "1", "--order", "2"],
+         "coefficient 1 of an exact series overflows double precision"),
     ],
     ids=["gamma", "poisson", "moments", "moments-mixed-1e400", "free-turns", "cfree-pair", "idiv-weight", "semigroup-target",
          "semigroup-approx-target-1e400", "semigroup-approx-target-nan",
          "idiv-weight-1e40", "idiv-weight-1e400", "semigroup-t-1e30", "semigroup-t-1e400", "semigroup-target-order",
-         "no-atoms"],
+         "no-atoms", "semigroup-exact-target-1e400"],
 )
 def test_nan_input_exits_2(tmp_path, capsys, argv, message):
     # json.load reads the bare token NaN as float("nan"), and a number too
@@ -477,6 +503,8 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
         "short": json.dumps(SIGMA_TARGET),
         "padded": json.dumps(dict(SIGMA_TARGET, order=5)),
         "no_atoms": '{"type": "atomic"}',
+        "half": '{"gamma": [1, 0], "sigma": {"type": "atomic", "atoms": [{"turns": "0", "weight": "1/2"}]}}',
+        "exact_big": '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], ["0", "1e400"]]}',
     }.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -271,9 +273,26 @@ def test_nc_s_counts_and_membership():
         assert ours == {blocks for blocks in oracles.nc_by_filtering(two_n) if parity_constant(blocks)}
 
 
+@lru_cache(maxsize=None)
+def nc_by_size(n):
+    """NC(n) by the recursion on the block containing 1, the rest of that block taken by size."""
+    if n == 0:
+        return ((),)
+    out = []
+    for rest in chain.from_iterable(combinations(range(2, n + 1), r) for r in range(n)):
+        first = (1,) + rest
+        runs = [[tuple(tuple(e + lo for e in b) for b in p) for p in nc_by_size(hi - lo - 1)] for lo, hi in zip(first, first[1:] + (n + 1,))]
+        out += [(first, *chain.from_iterable(tail)) for tail in product(*runs)]
+    return tuple(out)
+
+
 @pytest.mark.parametrize("two_n", range(2, 13, 2))
 def test_nc_s_is_the_parity_filter_of_nc_in_generation_order(two_n):
-    filtered = [blocks for blocks in partitions._iter_nc(two_n, 1) if parity_constant(blocks)]
+    # NC_s takes the first block's rest by size, so it is the parity filter
+    # of NC(2n) generated that way, which the reference above does; NC
+    # itself comes out in canonical order.
+    filtered = [blocks for blocks in nc_by_size(two_n) if parity_constant(blocks)]
+    assert sorted(filtered) == [p.blocks for p in enumerate_nc(two_n) if parity_constant(p.blocks)]
     assert [p.blocks for p in enumerate_nc_s(two_n)] == filtered
 
 
@@ -287,10 +306,12 @@ def digest(lists):
 def test_parity_classes_keep_their_frozen_order():
     # sha256 of the block lists for 2n = 2, 4, ..., 12, as the earlier
     # filter over all of NC(2n) produced them, of NCL(1..9) as the earlier
-    # left-to-right stack walk produced it, and of NC(1..10) as it was
-    # before blocks were interned.
+    # left-to-right stack walk produced it, of NC(1..10) as it was before
+    # blocks were interned, and of NC(11) as it was sorted after the
+    # recursion.
     sizes = range(2, 13, 2)
     assert digest(enumerate_nc(n) for n in range(1, 11)) == "087614712cd85422a32a9ee1596a01bea2c7221bdddb29387d6cef058a0620ae"
+    assert digest([enumerate_nc(11)]) == "d5052fdf70eac63f8b9aa529d9ea873b22cec05c4968e7d6420b5d2f61889d94"
     assert digest(enumerate_nc_s(k) for k in sizes) == "1fd4cda468a53e536c2e3c7f7acc85d41159d4811bce3541e8f1ff652a325ac7"
     assert digest(enumerate_nc_0(k) for k in sizes) == "5abd3d542f07e6fc7a526a595e63909c0e35bd5e417dfee2743400851f112b3a"
     assert digest(enumerate_ncl(n) for n in range(1, 10)) == "a5f838ef8d46c3b2e05b063cd160b0c818937c335270bdfbe43e5b6166a29cc2"

@@ -57,6 +57,11 @@ def test_complex_rational_hash_agrees_with_eq():
     assert len({q(1, 1), q(1)}) == 2
 
 
+def test_complex_rational_str():
+    assert str(ComplexRational(1)) == "1+0i"
+    assert str(ComplexRational(1, Fraction(-1, 2))) == "1-1/2i"
+
+
 def test_series_construction_and_mode_rules():
     s = TruncatedSeries.exact([1, 2], order=3)
     assert s.coeffs[3] == q(0)
