@@ -53,6 +53,8 @@ from .measures import (
     semigroup_pair,
     toeplitz_psd_check,
 )
+# Production code calls no oracle, but perfbench/layers.find_function finds
+# the oracle routes that perfbench times only in modules already loaded.
 from .oracles import (
     boxed_convolution,
     cf_weight,
@@ -60,7 +62,8 @@ from .oracles import (
     product_psi_cumulants,
 )
 
-# The former two-state law class, kept as a name for callers that build laws through it.
+# The former two-state law class, kept because perfbench's oracle_crosscheck
+# workload builds its laws through this name.
 TwoStateData = TransformBundle
 
 __version__ = "0.1.0"

@@ -12,13 +12,13 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .errors import ArgumentError
 from .measures import (
     CircleMeasure,
     IdGenerator,
     MeasurePair,
+    _pick_mode,
     boolean_convolve,
     cfree_multiplicative_convolve,
     free_multiplicative_convolve,
@@ -36,7 +36,7 @@ from .partitions import (
     iter_nc,
     ncl_classify,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _json_float, _json_fraction, _json_pair
 from .transforms import b_series, ct_transform, eta, sigma_series, t_transform
 from .transforms import cfree_cumulants_from_moments, free_cumulants_from_moments
 
@@ -138,26 +138,14 @@ _TWO_STATE_TRANSFORMS = {
 
 
 def _cmd_transform(args):
-    data = _load_json(args.infile)
     if args.what in _TWO_STATE_TRANSFORMS:
-        if not _is_pair(data):
-            raise ArgumentError(
-                f"transform {args.what!r} reads a two-state law: "
-                "pass a file with 'mu' and 'nu' measures"
-            )
-        mu = CircleMeasure.from_json(data["mu"])
-        nu = CircleMeasure.from_json(data["nu"])
-        mode = "exact" if mu.supports_exact() and nu.supports_exact() else "approx"
+        pair = _load_pair(args.infile)
+        mode = _pick_mode(None, pair.mu, pair.nu)
         out = _TWO_STATE_TRANSFORMS[args.what](
-            mu.moment_series(args.order, mode), nu.moment_series(args.order, mode)
+            pair.mu.moment_series(args.order, mode), pair.nu.moment_series(args.order, mode)
         )
     else:
-        if _is_pair(data):
-            raise ArgumentError(
-                f"transform {args.what!r} reads a single measure, not a pair"
-            )
-        measure = CircleMeasure.from_json(data)
-        out = _ONE_STATE_TRANSFORMS[args.what](measure.moment_series(args.order))
+        out = _ONE_STATE_TRANSFORMS[args.what](_load_measure(args.infile).moment_series(args.order))
     _print_json(out.to_json())
     return 0
 
@@ -187,19 +175,14 @@ def _cmd_semigroup(args):
     data = _load_json(args.gen)
     if not isinstance(data, dict) or "gamma" not in data:
         raise ArgumentError(f"{args.gen} must hold a generator object with a 'gamma' entry")
-    gamma = data["gamma"]
-    if isinstance(gamma, (list, tuple)):
-        if len(gamma) != 2:
-            raise ArgumentError(f"gamma in {args.gen} must be a pair [re, im], not {gamma!r}")
-        gamma = complex(gamma[0], gamma[1])
-    else:
-        gamma = _parse_complex(str(gamma))
+    what = f"gamma in {args.gen}"
+    gamma = complex(*(_json_float(x, what) for x in _json_pair(data["gamma"], what)))
     sigma = None
     if data.get("sigma") is not None:
         sigma = CircleMeasure.from_json(data["sigma"], probability=False)
     generator = IdGenerator(gamma, sigma)
     target = TruncatedSeries.from_json(_load_json(args.sigma_target))
-    pair = semigroup_pair(generator, target, Fraction(args.t), args.order)
+    pair = semigroup_pair(generator, target, _json_fraction(args.t, "--t"), args.order)
     _print_json(_pair_json(pair))
     return 0
 
@@ -209,7 +192,7 @@ def _cmd_limit(args):
     if not n_list:
         raise ArgumentError("--n-list must name at least one size")
     report = limit_experiment(
-        Fraction(args.s), Fraction(args.omega), n_list, args.order
+        _json_fraction(args.s, "--s"), _json_fraction(args.omega, "--omega"), n_list, args.order
     )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

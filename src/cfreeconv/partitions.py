@@ -224,9 +224,6 @@ def _iter_nc(n, step, linked=False, memo=None):
     and ``linked`` yield canonical order.  Every block is interned.  ``memo``
     holds the runs longer than ``_CACHE_MAX``, built once per enumeration.
     """
-    if n == 0:
-        yield ()
-        return
     if memo is None:
         memo = {}
     pool = range(1 + step, n + 1, step)

@@ -355,6 +355,17 @@ def point_mass_laws(order, rng):
     approx = cfree_multiplicative_convolve(*uniform, n, "approx").mu.moment_series(n, "approx")
     gap = max(abs(x - y) / abs(y) for x, y in zip(approx.coeffs[1:], exact.to_approx().coeffs[1:]))
     _ensure(gap <= 1e-15, f"uniform pair, approx against exact: relative gap {gap}")
+    # Poisson laws with Gaussian-rational parameters run exactly: m_k = alpha^k,
+    # and the boolean, free and pair products all multiply the parameters.
+    alpha, beta = ComplexRational(Fraction(1, 2), Fraction(1, 3)), ComplexRational(Fraction(-1, 4), Fraction(1, 5))
+    p_a, p_b, p_aa = (CircleMeasure.poisson(x) for x in (alpha, beta, alpha * alpha))
+    want = CircleMeasure.poisson(alpha * beta).moment_series(order)
+    _ensure(boolean_convolve(p_a, p_b, order).moment_series(order) == want, "boolean Poisson laws")
+    _ensure(free_multiplicative_convolve(p_a, p_b, order).moment_series(order) == want, "free Poisson laws")
+    pair = cfree_multiplicative_convolve(MeasurePair(p_a, p_b), MeasurePair(p_b, p_aa), order)
+    _ensure(pair.mu.moment_series(order) == want, "Poisson pairs, phi-law")
+    psi = CircleMeasure.poisson(alpha * alpha * beta).moment_series(order)
+    _ensure(pair.nu.moment_series(order) == psi, "Poisson pairs, psi-law")
     return "quarter-turn point masses, exact"
 
 

@@ -214,14 +214,16 @@ def test_semigroup_time_zero_is_the_unit_pair(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gamma", [[1], [], [1, 0, 0]])
+@pytest.mark.parametrize("gamma", [[1], [], [1, 0, 0], [True, False], [1, "0"], [10**400, 0], "1,0"])
 def test_semigroup_gamma_that_is_not_a_pair_exits_2(tmp_path, capsys, gamma):
+    # A boolean, a string or an integer beyond a double is no number either.
     gen = write(tmp_path / "gen.json", {"gamma": gamma, "sigma": delta("0")})
     target = write(tmp_path / "target.json", SIGMA_TARGET)
     assert main(["semigroup", "--gen", gen, "--sigma-target", target, "--t", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: gamma in {gen} must be a pair [re, im]")
+    refused = "a finite number" if isinstance(gamma, list) and len(gamma) == 2 else "an [re, im] pair"
+    assert captured.err.startswith(f"error: gamma in {gen} must be {refused}, not ")
     assert "Traceback" not in captured.err
 
 
@@ -516,24 +518,29 @@ def test_nan_input_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, text, field",
+    "argv, text, field, value",
     [
-        (["transform", "--in", "{}", "--what", "r"], '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e10000000"}]}', "atom weight"),
-        (["transform", "--in", "{}", "--what", "r"], '{"type": "moments", "values": [["1e10000000", "0"]]}', "a moment"),
+        (["transform", "--in", "{}", "--what", "r"], '{"type": "atomic", "atoms": [{"turns": "0", "weight": "1e10000000"}]}',
+         "atom weight", "1e10000000"),
+        (["transform", "--in", "{}", "--what", "r"], '{"type": "moments", "values": [["1e10000000", "0"]]}', "a moment", "1e10000000"),
         (["semigroup", "--gen", "GEN", "--sigma-target", "{}", "--t", "1"],
-         '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], ["0", "1e10000000"]]}', "a series coefficient"),
+         '{"mode": "exact", "order": 1, "coeffs": [["1", "0"], ["0", "1e10000000"]]}', "a series coefficient", "1e10000000"),
+        (["semigroup", "--gen", "GEN", "--sigma-target", "{}", "--t", "1e-10000000"], json.dumps(SIGMA_TARGET), "--t", "1e-10000000"),
+        (["limit", "--s", "1e-10000000", "--omega", "1/4", "--n-list", "1", "--out", "CSV"], "", "--s", "1e-10000000"),
+        (["limit", "--s", "1/4", "--omega", "1e-10000000", "--n-list", "1", "--out", "CSV"], "", "--omega", "1e-10000000"),
     ],
-    ids=["atom-weight", "moment", "series-coefficient"],
+    ids=["atom-weight", "moment", "series-coefficient", "semigroup-t", "limit-s", "limit-omega"],
 )
-def test_a_huge_decimal_exponent_is_refused_before_it_is_built(tmp_path, capsys, argv, text, field):
+def test_a_huge_decimal_exponent_is_refused_before_it_is_built(tmp_path, capsys, argv, text, field, value):
     # Fraction("1e10000000") builds the power of ten: 14.7 s for the atom
-    # weight before its bound refused it.
+    # weight, and 13.9 s for `limit --s 1e-10000000` (59.6 s for `--omega`),
+    # without the guard.
     path = tmp_path / "in.json"
     path.write_text(text)
-    gen = write(tmp_path / "gen.json", {"gamma": [1, 0]})
+    files = {"GEN": write(tmp_path / "gen.json", {"gamma": [1, 0]}), "CSV": str(tmp_path / "report.csv")}
     start = time.perf_counter()
-    assert main([gen if arg == "GEN" else arg.format(path) for arg in argv]) == 2
+    assert main([files.get(arg) or arg.format(path) for arg in argv]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {field} has a decimal exponent beyond 4300 in magnitude: '1e10000000'\n"
+    assert captured.err == f"error: {field} has a decimal exponent beyond 4300 in magnitude: '{value}'\n"

@@ -14,6 +14,8 @@ from cfreeconv.verify import CHECKS, DEFAULT_ORDER, DEFAULT_SEED, check_rng, run
 
 # (suite, name): (order, number of seeds)
 DEEPER = {
+    ("series", "compositional inverse round trip"): (8, 10),  # 100 cases
+    ("series", "reciprocal"): (8, 10),  # 100 cases
     ("partitions", "ncl counts vs block-family search"): (6, 1),  # sizes 1..7
     ("partitions", "complement size identity"): (7, 1),
     ("partitions", "complement vs maximality search"): (6, 1),
