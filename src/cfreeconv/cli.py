@@ -9,6 +9,7 @@ on stderr and exit with status 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -75,12 +76,20 @@ def _pair_json(pair):
 
 
 def _parse_complex(text):
-    """Accept 'RE,IM' or a Python complex literal such as 0.8+0.6j."""
-    text = text.strip()
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(text.replace(" ", ""))
+    """The ``--gamma`` value: 'RE,IM' or a Python complex literal such as 0.8+0.6j.
+
+    Text that does not parse, or a part beyond a double (1e400), is refused
+    by the flag's name; a NaN part reaches ``IdGenerator``, which refuses it
+    as off the unit circle.
+    """
+    parts = text.split(",")
+    try:
+        value = complex(*map(float, parts)) if len(parts) == 2 else complex(text.replace(" ", ""))
+    except ValueError:
+        value = None
+    if value is None or cmath.isinf(value):
+        raise ArgumentError(f"--gamma must be 'RE,IM' or a complex literal with finite parts, not {text!r}")
+    return value
 
 
 def _jsonable(value):

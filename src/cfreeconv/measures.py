@@ -56,6 +56,14 @@ def _json_double(value, what):
     return value if type(value) is float else _json_float(value, what)
 
 
+def _json_scalar(value, what):
+    """A JSON [re, im] pair: exact if either part is a fraction string, a complex double otherwise."""
+    re, im = _json_pair(value, what)
+    if isinstance(re, str) or isinstance(im, str):
+        return ComplexRational(_json_fraction(re, what), _json_fraction(im, what))
+    return complex(_json_double(re, what), _json_double(im, what))
+
+
 def _unit(turn):
     """The point exp(2 pi i turn) in double precision."""
     return cmath.exp(1j * math.tau * float(turn))
@@ -105,7 +113,12 @@ class CircleMeasure:
 
     @classmethod
     def poisson(cls, alpha):
-        if not abs(_as_complex(alpha)) < 1:
+        """The Poisson kernel law with moments alpha^k; exact when alpha is a ComplexRational."""
+        if isinstance(alpha, ComplexRational):
+            inside = alpha.re * alpha.re + alpha.im * alpha.im < 1
+        else:
+            inside = abs(_as_complex(alpha)) < 1
+        if not inside:
             raise ArgumentError("the kernel parameter needs |alpha| < 1")
         return cls("poisson", alpha=alpha)
 
@@ -219,7 +232,10 @@ class CircleMeasure:
         if self.kind == "haar":
             return {"type": "haar"}
         if self.kind == "poisson":
-            alpha = _as_complex(self.alpha)
+            alpha = self.alpha
+            if isinstance(alpha, ComplexRational):
+                return {"type": "poisson", "alpha": [str(alpha.re), str(alpha.im)]}
+            alpha = _as_complex(alpha)
             return {"type": "poisson", "alpha": [alpha.real, alpha.imag]}
         return {"type": "moments", "values": self.series.to_json()["coeffs"][1:]}
 
@@ -241,17 +257,10 @@ class CircleMeasure:
         if kind == "haar":
             return cls.haar()
         if kind == "poisson":
-            alpha = _json_pair(_json_field(data, "alpha", "list", "a Poisson law"), "the kernel parameter")
-            return cls.poisson(complex(*(_json_double(x, "the kernel parameter") for x in alpha)))
+            return cls.poisson(_json_scalar(_json_field(data, "alpha", "list", "a Poisson law"), "the kernel parameter"))
         if kind == "moments":
-            values = []
-            for value in _json_field(data, "values", "list", "a moment law"):
-                re, im = _json_pair(value, "a moment")
-                if isinstance(re, str) or isinstance(im, str):
-                    values.append(ComplexRational(_json_fraction(re, "a moment"), _json_fraction(im, "a moment")))
-                else:
-                    values.append(complex(_json_double(re, "a moment"), _json_double(im, "a moment")))
-            return cls.moment_seq(values)
+            values = _json_field(data, "values", "list", "a moment law")
+            return cls.moment_seq([_json_scalar(value, "a moment") for value in values])
         raise ArgumentError(f"unknown measure type {kind!r}")
 
 

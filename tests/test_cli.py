@@ -187,6 +187,14 @@ def test_idiv_gamma_forms(tmp_path, capsys):
     assert "unit circle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["1,x", "True", "", "1,0,0", "1e400,0", "0,inf", "1+infj"])
+def test_idiv_gamma_that_does_not_parse_exits_2(capsys, gamma):
+    assert main(["idiv", "--gamma", gamma, "--kind", "free", "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --gamma must be 'RE,IM' or a complex literal with finite parts, not {gamma!r}\n"
+
+
 def test_idiv_refuses_fewer_than_one_moment(capsys):
     for kind in ("free", "boolean"):
         for order in ("0", "-3"):

@@ -157,6 +157,37 @@ def test_computed_laws_keep_the_series_that_produced_them(mode):
         assert CircleMeasure.from_json(json.loads(json.dumps(law.to_json()))) == law
 
 
+@pytest.mark.parametrize(
+    "alpha, written",
+    [
+        (["1/2", "1/3"], ["1/2", "1/3"]),
+        (["-1/4", 0], ["-1/4", "0"]),
+        ([0.25, "0.5"], ["1/4", "1/2"]),
+        ([0.2, -0.1], [0.2, -0.1]),
+    ],
+    ids=["exact", "exact-int-part", "exact-float-part", "approx"],
+)
+def test_a_poisson_law_reads_and_writes_alpha_in_its_mode(alpha, written):
+    # A fraction string in either part makes alpha exact, as in a moments entry.
+    law = CircleMeasure.from_json({"type": "poisson", "alpha": alpha})
+    exact = any(isinstance(part, str) for part in alpha)
+    assert law.supports_exact() == exact
+    assert law.to_json() == {"type": "poisson", "alpha": written}
+    again = CircleMeasure.from_json(json.loads(json.dumps(law.to_json())))
+    assert again == law
+    assert again.moment_series(6) == law.moment_series(6)
+    assert again.moment_series(6).mode == ("exact" if exact else "approx")
+
+
+def test_an_exact_poisson_parameter_is_bounded_exactly():
+    # |alpha| < 1 is decided on the fractions, so an alpha beyond a double is
+    # refused as outside the disk rather than overflowing.
+    for alpha in (["1e400", "0"], ["3/5", "4/5"]):
+        with pytest.raises(ArgumentError, match=r"needs \|alpha\| < 1"):
+            CircleMeasure.from_json({"type": "poisson", "alpha": alpha})
+    assert CircleMeasure.poisson(q(Fraction(3, 5), Fraction(799, 1000))).supports_exact()
+
+
 def test_a_moment_list_with_a_float_entry_is_an_approx_law():
     law = CircleMeasure.moment_seq([q(Fraction(1, 2), Fraction(1, 4)), 0.25 + 0j])
     assert not law.supports_exact()

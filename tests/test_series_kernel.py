@@ -8,7 +8,10 @@ compared, at every order up to 24, with Horner's rule and the power-by-power
 Lagrange loop run on the kernel, and quarter-turn moments with their
 ComplexRational sums.  The approx kernel's dot products and shrinking-order
 Horner's rule are compared bit for bit, signed zeros included, with the
-nested loops that approx mode ran before them, at every order up to 64.
+nested loops that approx mode ran before them, at every order up to 64 and
+on the moment series of three benchmark-shaped laws; the product is also
+compared with the span-bounded product it replaced, on terms that are
+infinite, NaN or subnormal.
 """
 import math
 import random
@@ -481,6 +484,23 @@ def loop_invert(f):
     return g
 
 
+def span_bounded_mul(a, b):
+    """The approx product as the kernel formed it with two bounds and two slices per coefficient."""
+    count = len(a)
+    out = [0j] * count
+    left = [i for i, x in enumerate(a) if x]
+    right = [j for j, y in enumerate(b) if y]
+    if not (left and right):
+        return out
+    (lo_a, hi_a), (lo_b, hi_b) = (left[0], left[-1]), (right[0], right[-1])
+    rev = b[::-1]  # rev[count - 1 - j] = b_j
+    for k in range(lo_a + lo_b, min(count - 1, hi_a + hi_b) + 1):
+        lo, hi = max(lo_a, k - hi_b), min(hi_a, k - lo_b)
+        top = count - 1 - k
+        out[k] = sum(map(mul, a[lo : hi + 1], rev[top + lo : top + hi + 1]))
+    return out
+
+
 def bits(coeffs):
     """The coefficients as float.hex pairs, so that -0.0 and 0.0 differ."""
     return [(c.real.hex(), c.imag.hex()) for c in coeffs]
@@ -519,9 +539,26 @@ def nonzero_at(rng, coeffs, k):
     return coeffs
 
 
+# Moment series shaped like the laws of the benchmarks: a three-atom law at
+# twelfth turns, a near-identity factor (1 - s/n) delta_0 + (s/n) delta_omega
+# with s = 1/2, n = 32, omega = 1/12, and a Poisson law.
+LAWS = (
+    CircleMeasure.atomic([(Fraction(1, 12), Fraction(1, 2)), (Fraction(5, 12), Fraction(1, 3)), (Fraction(3, 4), Fraction(1, 6))]),
+    CircleMeasure.atomic([(0, 1 - Fraction(1, 64)), (Fraction(1, 12), Fraction(1, 64))]),
+    CircleMeasure.poisson(0.3 + 0.4j),
+)
+
+
 @pytest.mark.parametrize("n", range(65))
 def test_approx_kernel_is_the_loops_bit_for_bit(n):
     rng = random.Random(5000 + n)
+    if n in (16, 32, 64):
+        moments = [law.moment_series(n, "approx") for law in LAWS]
+        for f in moments:
+            assert bits(f.invert_composition().coeffs) == bits(loop_invert(f.coeffs))
+            for g in moments:
+                assert bits((f * g).coeffs) == bits(loop_mul(f.coeffs, g.coeffs))
+                assert bits(f.compose(g).coeffs) == bits(loop_compose(f.coeffs, g.coeffs))
     for _ in range(3):
         a, b = approx_coeffs(rng, n), approx_coeffs(rng, n, lead=rng.choice([0, 1, 2]))
         A, B = TruncatedSeries.approx(a), TruncatedSeries.approx(b)
@@ -534,6 +571,41 @@ def test_approx_kernel_is_the_loops_bit_for_bit(n):
         if n:
             f = TruncatedSeries.approx(nonzero_at(rng, approx_coeffs(rng, n, lead=1), 1))
             assert bits(f.invert_composition().coeffs) == bits(loop_invert(f.coeffs))
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310)
+
+
+def special_coeffs(rng, count):
+    """Complex coefficients that are often signed zeros, infinities, NaNs or subnormals.
+
+    About a third of the draws start with zeros of random sign, and as many end
+    with zeros (a multiplier shorter than the truncation).
+    """
+    def part():
+        return rng.choice(SPECIAL) if rng.random() < 0.45 else rng.uniform(-2, 2) * 10.0 ** rng.randint(-300, 300)
+
+    out = [complex(part(), part()) for _ in range(count)]
+    if rng.random() < 0.3:
+        lead = rng.randint(0, count)
+        out[:lead] = [complex(rng.choice(ZEROS), rng.choice(ZEROS))] * lead
+    if rng.random() < 0.3:
+        tail = rng.randint(0, count)
+        out[count - tail :] = [0j] * tail
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_approx_product_keeps_the_span_bounded_bits_with_non_finite_terms(seed):
+    # loop_mul skips interior zeros, so it cannot judge inf or NaN (0 * inf
+    # is NaN); the span-bounded product can.  bits() tells -0.0 from 0.0 and
+    # writes every NaN as 'nan'.
+    rng = random.Random(7700 + seed)
+    for _ in range(400):
+        count = rng.randint(1, 20)
+        a, b = special_coeffs(rng, count), special_coeffs(rng, count)
+        got = (TruncatedSeries.approx(a) * TruncatedSeries.approx(b)).coeffs
+        assert bits(got) == bits(span_bounded_mul(a, b))
 
 
 def test_approx_composition_multiplies_at_shrinking_orders(monkeypatch):
