@@ -108,8 +108,8 @@ def _jsonable(value):
 
 
 def _cmd_nc(args):
-    # NC and NC_s are counted in closed form; NC_0 is enumerated, so that its
-    # complement-against-join cross-check runs.  NC is listed as generated.
+    # NC and NC_s are counted in closed form; NC_0 is built from NC(n/2) and
+    # counted as built.  NC is listed as generated.
     if args.count_only:
         count = {"nc": count_nc, "nc_s": count_nc_s}.get(args.cls, lambda n: len(enumerate_nc_0(n)))
         print(count(args.n))
@@ -197,7 +197,10 @@ def _cmd_semigroup(args):
 
 
 def _cmd_limit(args):
-    n_list = tuple(int(chunk) for chunk in args.n_list.split(",") if chunk.strip())
+    try:
+        n_list = tuple(int(chunk) for chunk in args.n_list.split(",") if chunk.strip())
+    except ValueError:
+        raise ArgumentError(f"--n-list must be comma-separated integers, not {args.n_list!r}") from None
     if not n_list:
         raise ArgumentError("--n-list must name at least one size")
     report = limit_experiment(

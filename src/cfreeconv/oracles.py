@@ -5,7 +5,10 @@ path imports them.  The brute-force references are written from the raw
 definitions -- filter all set partitions on the crossing quadruple,
 maximize over candidates for the complement, search block families
 directly -- so the fast constructions in :mod:`partitions` have something
-honest to be checked against.  The partition sums restate the package's
+honest to be checked against.  The lattice join and the doubling give the
+coupled family NC_0(2n) a second time, as the parity-constant partitions
+whose join with the doubled singletons is the one-block partition, against
+its construction from NC(n) and the Kreweras complement.  The partition sums restate the package's
 identities as sums over non-crossing, parity-constant and linked
 partitions: moments from cumulants, the boxed convolution, the cumulants
 of a product, and moments from the t- and ct-series.  The test-suite and
@@ -31,12 +34,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, ResourceLimitError
 from .partitions import (
+    NC0_MAX,
     NCPartition,
     blocks_cross,
     enumerate_nc,
     enumerate_nc_0,
+    enumerate_nc_s,
     enumerate_ncl,
     kreweras,
     ncl_classify,
@@ -199,6 +204,88 @@ def ncl_block_families(n):
 
     extend([], {e: 0 for e in range(1, n + 1)}, 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The lattice join, doubling, and the join fibers of NC_s
+# ---------------------------------------------------------------------------
+
+def nc_join(p, q):
+    """Smallest non-crossing partition coarser than both arguments.
+
+    The set-partition lattice join is taken first; crossing blocks are then
+    merged to closure, which lands on the non-crossing join.
+    """
+    if p.n != q.n:
+        raise ArgumentError("join needs a common ground set")
+    n = p.n
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    for part in (p, q):
+        for b in part.blocks:
+            for e in b[1:]:
+                union(b[0], e)
+    while True:
+        groups = {}
+        for e in range(1, n + 1):
+            groups.setdefault(find(e), []).append(e)
+        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
+        merged = False
+        for a, b in combinations(blocks, 2):
+            if blocks_cross(a, b):
+                union(a[0], b[0])
+                merged = True
+                break
+        if not merged:
+            return NCPartition._from_canonical(n, tuple(blocks))
+
+
+def undouble(p):
+    """Inverse of doubling, which sends each k to the pair 2k-1, 2k blockwise; raises if blocks do not pair up."""
+    blocks = []
+    for b in p.blocks:
+        elems = set(b)
+        halves = set()
+        for e in b:
+            k = (e + 1) // 2
+            if not {2 * k - 1, 2 * k} <= elems:
+                raise ArgumentError("partition is not a doubled partition")
+            halves.add(k)
+        blocks.append(tuple(sorted(halves)))
+    return NCPartition(p.n // 2, tuple(blocks))
+
+
+def pair_singletons_doubled(n):
+    """The doubled all-singletons partition (1,2)(3,4)...(2n-1,2n)."""
+    return NCPartition(2 * n, [(2 * k - 1, 2 * k) for k in range(1, n + 1)])
+
+
+def group_nc_s_by_join(two_n):
+    """Fiber the parity-constant partitions over their join with the doubled singletons.
+
+    Returns a dict keyed by partitions p of {1..n}: the fiber of p holds the
+    sigma whose join with (1,2)(3,4)... equals the doubling of p.
+    """
+    if two_n % 2 != 0 or not 2 <= two_n <= NC0_MAX:
+        raise ResourceLimitError(
+            f"group_nc_s_by_join needs an even ground set of size <= {NC0_MAX}"
+        )
+    n = two_n // 2
+    zero_hat = pair_singletons_doubled(n)
+    fibers = {}
+    for sigma in enumerate_nc_s(two_n):
+        joined = nc_join(sigma, zero_hat)
+        fibers.setdefault(undouble(joined), []).append(sigma)
+    return fibers
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ consecutive members of that block lie runs that are partitioned on their
 own; for NCL the run [a_j, a_(j+1)) starting at a member a_j is a linked
 partition whose first block, unless it is the singleton (a_j,), hangs off
 a_j (see :func:`_iter_nc`).  NC(n) and NCL(n) come out in canonical order,
-with no sort; NC_s keeps its generation order, which is not sorted.
+with no sort; NC_s keeps its generation order, which is not sorted.  The
+coupled family NC_0(2n) is built from NC(n) instead: each p is placed on
+the odd points and its Kreweras complement on the even points, and the
+list is sorted once into NC_s's order.  The lattice join and the doubling
+that re-derive NC_0 a second way live in :mod:`oracles`.
 
 The layer keeps one copy of each block and of each shared partition.
 Every block of an enumerated partition or of a built complement is interned:
@@ -32,7 +36,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
 
-from .errors import ArgumentError, NumericalError, ResourceLimitError
+from .errors import ArgumentError, ResourceLimitError
 
 # Enumeration guards.  Exhaustive suites are expected to run in seconds at
 # sizes well below these; the guards only keep runaway requests bounded.
@@ -174,12 +178,6 @@ class NCPartition(SetPartition):
     @property
     def int_blocks(self):
         return self._classified()[1]
-
-    def exterior_blocks(self):
-        return tuple(self.blocks[i] for i in self.ext_blocks)
-
-    def interior_blocks(self):
-        return tuple(self.blocks[i] for i in self.int_blocks)
 
 
 def singletons(n):
@@ -326,7 +324,7 @@ def iter_nc(n):
 
 
 # ---------------------------------------------------------------------------
-# Kreweras complement, join, doubling
+# Kreweras complement
 # ---------------------------------------------------------------------------
 
 def kreweras(p):
@@ -407,80 +405,9 @@ def _enumerated_nc(n, blocks):
     return index[blocks]
 
 
-def nc_join(p, q):
-    """Smallest non-crossing partition coarser than both arguments.
-
-    The set-partition lattice join is taken first; crossing blocks are then
-    merged to closure, which lands on the non-crossing join.
-    """
-    if p.n != q.n:
-        raise ArgumentError("join needs a common ground set")
-    n = p.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for part in (p, q):
-        for b in part.blocks:
-            for e in b[1:]:
-                union(b[0], e)
-    while True:
-        groups = {}
-        for e in range(1, n + 1):
-            groups.setdefault(find(e), []).append(e)
-        blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-        merged = False
-        for a, b in combinations(blocks, 2):
-            if blocks_cross(a, b):
-                union(a[0], b[0])
-                merged = True
-                break
-        if not merged:
-            return NCPartition._from_canonical(n, tuple(blocks))
-
-
-def double(p):
-    """Send each element k to the pair 2k-1, 2k, blockwise."""
-    blocks = tuple(
-        tuple(sorted(x for e in b for x in (2 * e - 1, 2 * e))) for b in p.blocks
-    )
-    return NCPartition(2 * p.n, blocks)
-
-
-def undouble(p):
-    """Inverse of :func:`double`; raises if blocks do not pair up 2k-1, 2k."""
-    blocks = []
-    for b in p.blocks:
-        elems = set(b)
-        halves = set()
-        for e in b:
-            k = (e + 1) // 2
-            if not {2 * k - 1, 2 * k} <= elems:
-                raise ArgumentError("partition is not a doubled partition")
-            halves.add(k)
-        blocks.append(tuple(sorted(halves)))
-    return NCPartition(p.n // 2, tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # Parity-constant partitions, and the coupled subfamily
 # ---------------------------------------------------------------------------
-
-def _parity_part(p, parity):
-    """Restriction of a parity-constant partition to the elements of one parity, relabeled.
-
-    Element e becomes (e + 1) // 2, which is e // 2 for even e.
-    """
-    blocks = tuple(tuple((e + 1) // 2 for e in b) for b in p.blocks if b[0] % 2 == parity)
-    return NCPartition._from_canonical(p.n // 2, blocks)
-
 
 def _nc_s_guard(two_n):
     if two_n % 2 != 0 or not 2 <= two_n <= NCS_MAX:
@@ -502,60 +429,37 @@ def enumerate_nc_s(two_n):
     return list(_nc(two_n, 2))
 
 
-def pair_singletons_doubled(n):
-    """The doubled all-singletons partition (1,2)(3,4)...(2n-1,2n)."""
-    return NCPartition(2 * n, [(2 * k - 1, 2 * k) for k in range(1, n + 1)])
-
-
 @lru_cache(maxsize=None)
 def _nc_0_cached(two_n):
-    joined = set(group_nc_s_by_join(two_n).get(one_block(two_n // 2), ()))
+    intern = _BLOCKS.setdefault
     out = []
-    for sigma in enumerate_nc_s(two_n):
-        by_complement = _parity_part(sigma, 0) == kreweras(_parity_part(sigma, 1))
-        if by_complement != (sigma in joined):
-            raise NumericalError(
-                f"complement and join criteria disagree on {sigma!r}; this is a bug"
-            )
-        if by_complement:
-            out.append(sigma)
+    for p in enumerate_nc(two_n // 2):
+        odd = (tuple(2 * e - 1 for e in b) for b in p.blocks)
+        even = (tuple(2 * e for e in b) for b in kreweras(p).blocks)
+        out.append(NCPartition._from_canonical(two_n, tuple(intern(b, b) for b in sorted(chain(odd, even)))))
+    out.sort(key=lambda sigma: [(len(b), b) for b in sigma.blocks])
     return tuple(out)
 
 
 def enumerate_nc_0(two_n):
     """Parity-constant partitions whose even side complements the odd side.
 
-    These are the parity-constant non-crossing partitions sigma for which the
-    even restriction equals the Kreweras complement of the odd restriction.
-    Each call cross-checks that criterion against the lattice one -- joining
-    sigma with the doubled singletons must give the one-block partition --
-    and fails loudly if the two ever disagree.
+    NC_0(2n) is the image of NC(n) under p -> p on the odd points and its
+    Kreweras complement on the even points, the family of Nica and
+    Speicher's formula for the cumulants of a product of free variables, so
+    each sigma is built from one p of :func:`enumerate_nc` and its kept
+    complement, with no search over NC_s(2n).  The list is sorted by the
+    sizes and elements of the blocks in turn, the order in which
+    :func:`enumerate_nc_s` generates, so it is NC_s(2n) in its own order
+    restricted to NC_0.  ``cfreeconv verify`` checks it against the lattice
+    criterion, that sigma joined with the doubled singletons is the
+    one-block partition (:func:`oracles.group_nc_s_by_join`).
     """
     if two_n % 2 != 0 or not 2 <= two_n <= NC0_MAX:
         raise ResourceLimitError(
             f"enumerate_nc_0 needs an even ground set of size <= {NC0_MAX}"
         )
     return list(_nc_0_cached(two_n))
-
-
-def group_nc_s_by_join(two_n):
-    """Fiber the parity-constant partitions over their join with the doubled singletons.
-
-    Returns a dict keyed by partitions p of {1..n}: the fiber of p holds the
-    sigma whose join with (1,2)(3,4)... equals the doubling of p.
-    """
-    if two_n % 2 != 0 or not 2 <= two_n <= NC0_MAX:
-        raise ResourceLimitError(
-            f"group_nc_s_by_join needs an even ground set of size <= {NC0_MAX}"
-        )
-    n = two_n // 2
-    zero_hat = pair_singletons_doubled(n)
-    fibers = {}
-    for sigma in enumerate_nc_s(two_n):
-        joined = nc_join(sigma, zero_hat)
-        fibers.setdefault(undouble(joined), []).append(sigma)
-    return fibers
-
 
 # ---------------------------------------------------------------------------
 # Non-crossing linked partitions

@@ -36,6 +36,8 @@ from .measures import (
 from .oracles import (
     boxed_convolution,
     catalan_numbers,
+    cfree_product_cumulant_series,
+    group_nc_s_by_join,
     kreweras_by_maximality,
     moments_from_free_cumulants_nc_sum,
     ncl_block_families,
@@ -51,6 +53,7 @@ from .partitions import (
     enumerate_nc_s,
     enumerate_ncl,
     kreweras,
+    one_block,
 )
 from .series import ComplexRational, TruncatedSeries
 from .transforms import (
@@ -146,9 +149,16 @@ def ncl_vs_block_families(order, rng):
 
 def parity_counts(order, rng):
     # |NC_s(2n)| is the Fuss-Catalan number C(3n, n)/(2n+1); |NC_0(2n)| is C_n.
+    # NC_0(2n), built from NC(n) and the Kreweras complement, must also be the
+    # lattice criterion's family, in NC_s(2n)'s order: the sigma whose join
+    # with the doubled singletons is the doubled one-block partition.
     sizes = range(1, 7)
     nc_s = [len(enumerate_nc_s(2 * n)) for n in sizes]
-    nc_0 = [len(enumerate_nc_0(2 * n)) for n in sizes]
+    nc_0 = []
+    for n in sizes:
+        family = enumerate_nc_0(2 * n)
+        _ensure(family == group_nc_s_by_join(2 * n)[one_block(n)], f"nc_0({2 * n}) differs from the join fiber of 1_{n}")
+        nc_0.append(len(family))
     _ensure(nc_s == [math.comb(3 * n, n) // (2 * n + 1) for n in sizes], f"nc_s: {nc_s}")
     _ensure(nc_0 == catalan_numbers(6), f"nc_0: {nc_0}")
     return "2n = 2..12: nc_s %s; nc_0 %s" % (",".join(map(str, nc_s)), ",".join(map(str, nc_0)))
@@ -247,6 +257,19 @@ def product_cumulants(order, rng):
         for k in range(1, n + 1):
             _ensure(via_boxed.coeffs[k] == product_psi_cumulants(rx, ry, k), f"order {k}")
     return f"5 cases, orders 1..{n}"
+
+
+def product_composition_formula(order, rng):
+    # The paper's closed formula for the phi-cumulants of a product, through
+    # the singleton-restricted boxed convolution, against the bundle product.
+    n = min(order, 6)
+    for _ in range(5):
+        x, y = (
+            TransformBundle.from_cumulants(random_vanishing(rng, n), random_vanishing(rng, n, c1_nonzero=True))
+            for _ in range(2)
+        )
+        _ensure(cfree_product_cumulant_series(x, y) == x.multiply(y).cR.shift_down(), "composition formula != product")
+    return f"5 cases at order {n}"
 
 
 # -- transforms ---------------------------------------------------------------
@@ -481,6 +504,7 @@ CHECKS = (
     ("cumulants", "phi round trips", phi_round_trips),
     ("cumulants", "closed forms vs partition sums", closed_forms_vs_partition_sums),
     ("cumulants", "product cumulants vs boxed convolution", product_cumulants),
+    ("cumulants", "product cumulant composition formula", product_composition_formula),
     ("transforms", "moment round trips", moment_round_trips),
     ("transforms", "linked-block moment sums", linked_block_sums),
     ("transforms", "pair multiplicativity vs partition sums", multiplicativity),

@@ -28,6 +28,7 @@ from cfreeconv.oracles import (
     boxed_convolution_checked,
     catalan_numbers,
     cfree_product_cumulant_series,
+    group_nc_s_by_join,
     kappa,
     ncl_block_families,
     phi_moments_via_linked_blocks,
@@ -40,7 +41,6 @@ from cfreeconv.partitions import (
     enumerate_nc_0,
     enumerate_nc_s,
     enumerate_ncl,
-    group_nc_s_by_join,
     kreweras,
 )
 from cfreeconv.series import ComplexRational, TruncatedSeries

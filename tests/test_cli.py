@@ -254,6 +254,16 @@ def test_limit_report(tmp_path, capsys):
     assert report.read_text() == first
 
 
+@pytest.mark.parametrize("n_list", ["4,x", "4.0", "1e3", "x"])
+def test_limit_n_list_that_does_not_parse_exits_2(tmp_path, capsys, n_list):
+    argv = ["limit", "--s", "1/2", "--omega", "1/4", "--n-list", n_list, "--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n-list must be comma-separated integers, not {n_list!r}\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_limit_with_vanishing_first_moment_exits_2(tmp_path, capsys):
     # s/n = 1/2 at half a turn: the factor's first moment is exactly zero
     argv = ["limit", "--s", "1/2", "--omega", "1/2", "--n-list", "1", "--order", "3",

@@ -8,12 +8,13 @@ from cfreeconv.errors import DomainError
 from cfreeconv.oracles import (
     Kappa,
     cfree_product_cumulant_series,
+    group_nc_s_by_join,
     kappa,
     product_phi_cumulants,
     product_psi_cumulants,
     word_cumulant,
 )
-from cfreeconv.partitions import NCPartition, group_nc_s_by_join
+from cfreeconv.partitions import NCPartition
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import (
     TransformBundle,

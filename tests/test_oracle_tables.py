@@ -38,9 +38,9 @@ def reference_nc_sum(cr, r):
         acc = _zero(r.mode)
         for p in enumerate_nc(n):
             term = _one(r.mode)
-            for b in p.exterior_blocks():
+            for b in (p.blocks[i] for i in p.ext_blocks):
                 term = term * cr.coefficient(len(b))
-            for b in p.interior_blocks():
+            for b in (p.blocks[i] for i in p.int_blocks):
                 term = term * r.coefficient(len(b))
             acc = acc + term
         out.append(acc)

@@ -9,27 +9,23 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from cfreeconv import oracles, partitions
-from cfreeconv.errors import ArgumentError, NumericalError, ResourceLimitError
+from cfreeconv import oracles, partitions, verify
+from cfreeconv.errors import ArgumentError, ResourceLimitError
+from cfreeconv.oracles import group_nc_s_by_join, nc_join, pair_singletons_doubled, undouble
 from cfreeconv.partitions import (
     NCLinkedPartition,
     NCPartition,
     SetPartition,
-    double,
     enumerate_nc,
     enumerate_nc_0,
     enumerate_nc_s,
     enumerate_ncl,
-    group_nc_s_by_join,
     is_noncrossing,
     kreweras,
-    nc_join,
     ncl_classify,
     one_block,
-    pair_singletons_doubled,
     partition_from_json,
     singletons,
-    undouble,
 )
 
 
@@ -73,10 +69,10 @@ def test_enumerate_nc_guard():
 
 def test_exterior_interior_split():
     p = NCPartition(5, [[1, 5], [2, 4], [3]])
-    assert p.exterior_blocks() == ((1, 5),)
-    assert p.interior_blocks() == ((2, 4), (3,))
+    assert [p.blocks[i] for i in p.ext_blocks] == [(1, 5)]
+    assert [p.blocks[i] for i in p.int_blocks] == [(2, 4), (3,)]
     q = NCPartition(4, [[1, 2], [3, 4]])
-    assert q.interior_blocks() == ()
+    assert [q.blocks[i] for i in q.int_blocks] == []
     assert len(p.ext_blocks) == 1
     assert len(q.ext_blocks) == 2
 
@@ -199,13 +195,14 @@ def test_kreweras_on_an_unbuilt_nc_enumerates_nothing(monkeypatch, iter_nc_calls
 
 
 def test_blocks_are_interned():
-    # One tuple per block value across NC(1..10), their complements, NCL(1..8)
-    # and NC_s(2..12); the first three hold every nonempty subset of {1..10}.
+    # One tuple per block value across NC(1..10), their complements, NCL(1..8),
+    # NC_s(2..12) and NC_0(2..12); the first three hold every nonempty subset
+    # of {1..10}.
     nc = [p for n in range(1, 11) for p in enumerate_nc(n)]
     families = nc + [kreweras(p) for p in nc] + [g for n in range(1, 9) for g in enumerate_ncl(n)]
     blocks = [b for p in families for b in p.blocks]
     assert len({id(b) for b in blocks}) == len(set(blocks)) == 1023
-    blocks += [b for k in range(2, 13, 2) for p in enumerate_nc_s(k) for b in p.blocks]
+    blocks += [b for k in range(2, 13, 2) for p in enumerate_nc_s(k) + enumerate_nc_0(k) for b in p.blocks]
     assert len({id(b) for b in blocks}) == len(set(blocks))
 
 
@@ -249,6 +246,14 @@ def test_nc_join_against_search():
         for _ in range(40):
             p, q = rng.choice(pool), rng.choice(pool)
             assert nc_join(p, q) == oracles.join_by_search(p, q)
+
+
+def double(p):
+    """Send each element k to the pair 2k-1, 2k, blockwise."""
+    blocks = tuple(
+        tuple(sorted(x for e in b for x in (2 * e - 1, 2 * e))) for b in p.blocks
+    )
+    return NCPartition(2 * p.n, blocks)
 
 
 def test_double_and_undouble():
@@ -329,14 +334,25 @@ def test_an_enumeration_builds_each_long_run_once(iter_nc_calls):
     assert sorted(n for n, _ in iter_nc_calls if n > partitions._CACHE_MAX) == [11, 12, 13, 14]
 
 
+def test_nc_0_builds_no_parity_constant_enumeration(iter_nc_calls):
+    # NC_0(12) comes from NC(6) and its complements, not from a search of
+    # the 1,428 members of NC_s(12).
+    partitions._nc_0_cached.cache_clear()
+    assert len(enumerate_nc_0(12)) == 132
+    assert [call for call in iter_nc_calls if call[1] == 2] == []
+
+
 def test_nc_0_cross_check_catches_a_wrong_complement(monkeypatch):
+    # The registry compares NC_0 with the join criterion's family.
     monkeypatch.setattr(partitions, "kreweras", lambda p: p)
     partitions._nc_0_cached.cache_clear()
     try:
-        with pytest.raises(NumericalError, match="disagree"):
-            enumerate_nc_0(6)
+        rows = verify.run("partitions")
     finally:
         partitions._nc_0_cached.cache_clear()
+    assert [(name, detail) for name, ok, detail in rows if not ok] == [
+        ("partitions: parity class counts", "AssertionError: nc_0(4) differs from the join fiber of 1_2")
+    ]
 
 
 def test_nc_0_counts_and_exterior_structure():
@@ -345,7 +361,7 @@ def test_nc_0_counts_and_exterior_structure():
     assert got4 == {((1, 3), (2,), (4,)), ((1,), (2, 4), (3,))}
     for two_n in (2, 4, 6, 8, 10):
         for sigma in enumerate_nc_0(two_n):
-            ext = sigma.exterior_blocks()
+            ext = [sigma.blocks[i] for i in sigma.ext_blocks]
             assert len(ext) == 2
             assert 1 in ext[0] and two_n in ext[-1]
         # one coupled partner per non-crossing partition of the half set
@@ -429,7 +445,7 @@ def test_ncl_classify_embeds_non_crossing_partitions():
     for n in range(1, 9):
         for p in enumerate_nc(n):
             ext, intr, singly, doubly = ncl_classify(p)
-            assert (ext, intr) == (p.exterior_blocks(), p.interior_blocks())
+            assert (ext, intr) == tuple(tuple(p.blocks[i] for i in split) for split in (p.ext_blocks, p.int_blocks))
             assert singly == frozenset(range(1, n + 1)) and doubly == frozenset()
     assert ncl_classify(NCPartition(3, [[1, 3], [2]]))[:2] == (((1, 3),), ((2,),))
     for other in (SetPartition(4, [(1, 3), (2, 4)]), ((1, 2),), None):

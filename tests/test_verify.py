@@ -23,6 +23,7 @@ DEEPER = {
     ("cumulants", "phi round trips"): (8, 10),  # 100 cases
     ("cumulants", "closed forms vs partition sums"): (9, 6),  # 30 cases
     ("cumulants", "product cumulants vs boxed convolution"): (6, 4),  # 20 cases
+    ("cumulants", "product cumulant composition formula"): (6, 2),  # 10 cases
     ("transforms", "moment round trips"): (7, 5),  # 50 cases
     ("transforms", "linked-block moment sums"): (8, 2),  # 6 cases
     ("transforms", "pair multiplicativity vs partition sums"): (5, 3),  # 6 cases
