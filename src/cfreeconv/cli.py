@@ -12,6 +12,7 @@ import argparse
 import cmath
 import csv
 import json
+import re
 import sys
 
 from .errors import ArgumentError
@@ -90,6 +91,20 @@ def _parse_complex(text):
     if value is None or cmath.isinf(value):
         raise ArgumentError(f"--gamma must be 'RE,IM' or a complex literal with finite parts, not {text!r}")
     return value
+
+
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
+def _integer(text):
+    """An integer flag's value: ASCII digits after an optional '-', blanks around them allowed.
+
+    ``int`` alone would also take '_' between digits, a '+' sign and the
+    decimal digits of every script.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _jsonable(value):
@@ -198,8 +213,8 @@ def _cmd_semigroup(args):
 
 def _cmd_limit(args):
     try:
-        n_list = tuple(int(chunk) for chunk in args.n_list.split(",") if chunk.strip())
-    except ValueError:
+        n_list = tuple(_integer(chunk) for chunk in args.n_list.split(",") if chunk.strip())
+    except argparse.ArgumentTypeError:
         raise ArgumentError(f"--n-list must be comma-separated integers, not {args.n_list!r}") from None
     if not n_list:
         raise ArgumentError("--n-list must name at least one size")
@@ -259,7 +274,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("nc", help="enumerate noncrossing partitions")
-    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--n", type=_integer, required=True, help="number of points")
     p.add_argument(
         "--class",
         dest="cls",
@@ -275,7 +290,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_nc)
 
     p = sub.add_parser("ncl", help="enumerate noncrossing linked partitions")
-    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--n", type=_integer, required=True, help="number of points")
     p.add_argument(
         "--classify",
         action="store_true",
@@ -287,14 +302,14 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True, metavar="MOMENTS.JSON",
                    help="measure JSON; a {'mu':…, 'nu':…} pair for cr/ct/sigma")
     p.add_argument("--what", required=True, choices=("r", "cr", "t", "ct", "eta", "b", "sigma"))
-    p.add_argument("--order", type=int, default=8, help="truncation order (default 8)")
+    p.add_argument("--order", type=_integer, default=8, help="truncation order (default 8)")
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("convolve", help="convolve two laws (or two pairs of laws)")
     p.add_argument("--kind", required=True, choices=("boolean", "free", "cfree"))
     p.add_argument("--a", required=True, metavar="A.JSON")
     p.add_argument("--b", required=True, metavar="B.JSON")
-    p.add_argument("--order", type=int, default=8, help="truncation order (default 8)")
+    p.add_argument("--order", type=_integer, default=8, help="truncation order (default 8)")
     p.set_defaults(handler=_cmd_convolve)
 
     p = sub.add_parser("idiv", help="build an infinitely divisible law from a generator")
@@ -302,7 +317,7 @@ def build_parser():
     p.add_argument("--sigma", metavar="SIGMA.JSON",
                    help="finite (not necessarily normalized) atomic measure JSON; omitted = zero")
     p.add_argument("--kind", required=True, choices=("boolean", "free"))
-    p.add_argument("--order", type=int, default=8, help="truncation order (default 8)")
+    p.add_argument("--order", type=_integer, default=8, help="truncation order (default 8)")
     p.set_defaults(handler=_cmd_idiv)
 
     p = sub.add_parser("semigroup", help="evolve a pair of laws along its convolution semigroup")
@@ -311,22 +326,22 @@ def build_parser():
     p.add_argument("--sigma-target", required=True, metavar="S.JSON",
                    help="series JSON for the time-one two-state transform")
     p.add_argument("--t", required=True, help="time, a nonnegative rational such as 1/2 or 0.25")
-    p.add_argument("--order", type=int, default=8, help="truncation order (default 8)")
+    p.add_argument("--order", type=_integer, default=8, help="truncation order (default 8)")
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("limit", help="compare n-fold pair convolutions with n-fold boolean ones")
     p.add_argument("--s", required=True, help="off-atom mass, a rational in [0, 1]")
     p.add_argument("--omega", required=True, help="off-atom position in turns, a rational")
     p.add_argument("--n-list", default="4,8,16,32", help="comma-separated fold counts")
-    p.add_argument("--order", type=int, default=4, help="highest compared coefficient (default 4)")
+    p.add_argument("--order", type=_integer, default=4, help="highest compared coefficient (default 4)")
     p.add_argument("--out", required=True, metavar="REPORT.CSV", help="per-(n, j) gap table")
     p.set_defaults(handler=_cmd_limit)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     # Set after add_argument, which would list the choices at once.
     p.add_argument("--suite", default="all").choices = _Suites()
-    p.add_argument("--order", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--order", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

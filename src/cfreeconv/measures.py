@@ -429,15 +429,8 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
     if uniform1 and uniform2:
         mode = _pick_mode(mode, p1.mu, p2.mu)
         first = [p.mu.moment_series(1, mode) for p in (p1, p2)]
-        if mode == "exact":  # cz/(1 - cz) with c = m_1 m_1', from the integer numerators
-            c = first[0].shift_down() * first[1].shift_down()
-            moments = _moments_from_eta(c._padded(order).shift_up().truncate(order))
-        else:
-            c = first[0].coeffs[1] * first[1].coeffs[1]
-            powers = [1 + 0j]
-            for _ in range(order):
-                powers.append(powers[-1] * c)
-            moments = TruncatedSeries.approx([0, *powers[1:]])
+        c = first[0].shift_down() * first[1].shift_down()  # cz/(1 - cz) with c = m_1 m_1'
+        moments = _moments_from_eta(c._padded(order).shift_up().truncate(order))
         return MeasurePair(_computed_law(moments), CircleMeasure.haar())
     if uniform1 or uniform2:
         raise UnsupportedDomainError(

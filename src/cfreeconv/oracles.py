@@ -32,7 +32,6 @@ from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import ArgumentError, DomainError, ResourceLimitError
 from .partitions import (
@@ -46,7 +45,7 @@ from .partitions import (
     kreweras,
     ncl_classify,
 )
-from .series import EXACT, ComplexRational, TruncatedSeries, _one, _zero
+from .series import EXACT, ComplexRational, TruncatedSeries, _common_denominator, _one, _zero
 
 
 def catalan_numbers(count):
@@ -345,12 +344,7 @@ def _numerators(families):
     """The (re, im) numerator lists of exact series over d, the lcm of their denominators, and d."""
     if any(f.mode != EXACT for f in families):
         raise ArgumentError("mode mismatch")
-    d = lcm(*(f._den for f in families))
-    scaled = []
-    for f in families:
-        m = d // f._den
-        scaled.append((f._re, f._im) if m == 1 else ([x * m for x in f._re], [x * m for x in f._im]))
-    return scaled, d
+    return _common_denominator(families)
 
 
 def _exact_table_sum(table, numerators, d):

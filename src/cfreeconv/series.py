@@ -1,8 +1,16 @@
 """Truncated power series over exact complex rationals or complex doubles.
 
-A series keeps coefficients c_0..c_N for a fixed truncation order N and a
-mode.  An ``exact`` series holds Gaussian-integer numerators -- a list of
-real parts and a list of imaginary parts -- over one positive common
+A series keeps coefficients c_0..c_N for a fixed truncation order N in one
+number representation, and the representation is its class:
+``TruncatedSeries(coeffs, mode)`` builds an ``_ExactSeries`` or an
+``_ApproxSeries``, whose ``mode`` reads "exact" or "approx".  The checks and
+the algorithms (powers, composition, reversion, truncation, the shifts, the
+binomial transform, equality and JSON) are written once, on
+``TruncatedSeries``, over the primitives that its docstring lists.  A third
+representation costs one subclass, not a branch in every operation.
+
+An ``exact`` series holds Gaussian-integer numerators -- a list of real
+parts and a list of imaginary parts -- over one positive common
 denominator, with their common content divided out once per operation, so
 that equal series have equal integer forms.  Its ``coeffs`` tuple of
 :class:`ComplexRational` (pairs of ``fractions.Fraction``) is built only
@@ -10,8 +18,9 @@ when a caller reads it; ``to_approx`` and ``to_json`` read the integers.
 A product is the schoolbook convolution of the numerator lists over their
 nonzero terms, truncated as it goes, so a product with a constant or a
 monomial costs O(N).  The reciprocal is Newton iteration over such
-products.  ``approx`` coefficients are Python complex numbers.  All series taking part in one
-computation share a mode; binary arithmetic also insists on a common order.
+products.  ``approx`` coefficients are Python complex numbers.  All series
+taking part in one computation share a mode; binary arithmetic also
+insists on a common order.
 Operations that lose the top coefficient (shifting down by one power of z,
 composition-style transforms) return a series of lower order rather than
 padding with junk.
@@ -66,7 +75,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import ArgumentError, DomainError, NumericalError
 
@@ -250,7 +259,7 @@ def _json_pair(value, what):
 # -- the exact kernel: products of lists of integer numerators ----------------
 
 
-def _product(a, b, c, d):
+def _gaussian_product(a, b, c, d):
     """Numerator lists of (a + ib)(c + id), truncated to len(a) terms.
 
     The schoolbook convolution, over the nonzero terms of each operand only
@@ -337,18 +346,47 @@ def _binomial_rows(c):
     return out
 
 
-class TruncatedSeries:
-    """Coefficients c_0..c_order in one arithmetic mode."""
+def _common_denominator(series):
+    """The (re, im) numerator lists of exact series over d, the lcm of their denominators, and d."""
+    d = lcm(*(s._den for s in series))
+    return [
+        (s._re, s._im) if s._den == d else ([x * (d // s._den) for x in s._re], [y * (d // s._den) for y in s._im])
+        for s in series
+    ], d
 
-    __slots__ = ("order", "mode", "coeffs", "_re", "_im", "_den")
+
+def _kind(mode):
+    """The series class that holds a mode's representation."""
+    try:
+        return _KINDS[mode]
+    except (KeyError, TypeError):
+        raise ArgumentError(f"unknown mode {mode!r}") from None
+
+
+class TruncatedSeries:
+    """Coefficients c_0..c_order in one number representation.
+
+    ``TruncatedSeries(coeffs, mode)`` builds the subclass that holds that
+    mode's data, whose ``mode`` reads "exact" or "approx".  The checks and
+    the algorithms live here, each written once over the subclass's
+    primitives: ``_scalar`` and ``_fill`` read and store the constructor's
+    coefficients; ``_map`` applies a function to each data list, given the
+    representation's zero; ``_combine``, ``_product``, ``_block_sums``,
+    ``_reciprocal`` and ``_lagrange`` are the arithmetic kernels; ``_step``
+    is the baby-step size; ``_nonzero`` tests one coefficient and ``_key``
+    is the data that equality compares.  ``scale``, ``to_approx`` and the
+    JSON scalars complete the set.  ``__mul__``, ``compose``,
+    ``reciprocal`` and ``invert_composition`` stay here, where tracers and
+    the tests' product counts patch them.
+    """
+
+    __slots__ = ("order",)
+
+    def __new__(cls, coeffs, mode, order=None):
+        return object.__new__(_kind(mode))
 
     def __init__(self, coeffs, mode, order=None):
-        if mode not in (EXACT, APPROX):
-            raise ArgumentError(f"unknown mode {mode!r}")
-        if mode == EXACT:
-            coeffs = [_exact_parts(c) for c in coeffs]
-        else:
-            coeffs = [_coerce(c, mode) for c in coeffs]
+        coeffs = [self._scalar(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -356,17 +394,7 @@ class TruncatedSeries:
         if len(coeffs) > order + 1:
             raise ArgumentError("more coefficients than the order allows")
         self.order = order
-        self.mode = mode
-        pad = order + 1 - len(coeffs)
-        if mode == APPROX:
-            self.coeffs = tuple(coeffs) + (0j,) * pad
-            return
-        self.__class__ = _ExactSeries  # same slots; a __new__ would cost every approx series a call
-        # The least common denominator of reduced fractions leaves no content.
-        den = lcm(*(p[1] for p in coeffs), *(p[3] for p in coeffs))
-        self._re = [p[0] * (den // p[1]) for p in coeffs] + [0] * pad
-        self._im = [p[2] * (den // p[3]) for p in coeffs] + [0] * pad
-        self._den = den
+        self._fill(coeffs, order + 1 - len(coeffs))
 
     @staticmethod
     def _from_ints(re, im, den):
@@ -378,16 +406,14 @@ class TruncatedSeries:
             den //= g
         out = object.__new__(_ExactSeries)
         out.order = len(re) - 1
-        out.mode = EXACT
         out._re, out._im, out._den = re, im, den
         return out
 
     @staticmethod
     def _from_complex(coeffs):
         """The approx series with these Python complex coefficients, taken as they are."""
-        out = object.__new__(TruncatedSeries)
+        out = object.__new__(_ApproxSeries)
         out.order = len(coeffs) - 1
-        out.mode = APPROX
         out.coeffs = tuple(coeffs)
         return out
 
@@ -423,24 +449,11 @@ class TruncatedSeries:
             raise ArgumentError(f"coefficient index {k} outside 0..{self.order}")
         return self.coeffs[k]
 
-    def _nonzero(self, k):
-        if self.mode == EXACT:
-            return bool(self._re[k] or self._im[k])
-        return bool(self.coeffs[k])
-
     def __eq__(self, other):
-        if not (
-            isinstance(other, TruncatedSeries)
-            and self.mode == other.mode
-            and self.order == other.order
-        ):
-            return False
-        if self.mode == EXACT:
-            return self._den == other._den and self._re == other._re and self._im == other._im
-        return self.coeffs == other.coeffs
+        return type(other) is type(self) and self.order == other.order and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.mode, self.order, self.coeffs))
+        return hash((self.mode, self.order, self._key()))
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, {self.mode!r})"
@@ -462,58 +475,28 @@ class TruncatedSeries:
             raise ArgumentError("order must be nonnegative")
         if order == self.order:
             return self
-        if self.mode == EXACT:
-            return TruncatedSeries._from_ints(self._re[: order + 1], self._im[: order + 1], self._den)
-        return TruncatedSeries._from_complex(self.coeffs[: order + 1])
+        return self._map(lambda c, zero: c[: order + 1])
 
     def _padded(self, order):
         """self with zero coefficients up to a higher order."""
-        if self.mode == EXACT:
-            pad = [0] * (order - self.order)
-            return TruncatedSeries._from_ints(self._re + pad, self._im + pad, self._den)
-        return TruncatedSeries._from_complex(self.coeffs + (0j,) * (order - self.order))
+        return self._map(lambda c, zero: [*c, *[zero] * (order - self.order)])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check_binary(other)
-        if self.mode == EXACT:
-            return self._combine(other, 1)
-        return TruncatedSeries._from_complex([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, add)
 
     def __sub__(self, other):
         self._check_binary(other)
-        if self.mode == EXACT:
-            return self._combine(other, -1)
-        return TruncatedSeries._from_complex([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _combine(self, other, sign):
-        """self + sign*other over the least common denominator (exact mode)."""
-        g = gcd(self._den, other._den)
-        fa, fb = other._den // g, sign * (self._den // g)
-        return TruncatedSeries._from_ints(
-            [x * fa + y * fb for x, y in zip(self._re, other._re)],
-            [x * fa + y * fb for x, y in zip(self._im, other._im)],
-            self._den * fa,
-        )
+        return self._combine(other, sub)
 
     def __neg__(self):
-        if self.mode == EXACT:
-            return TruncatedSeries._from_ints([-x for x in self._re], [-x for x in self._im], self._den)
-        return TruncatedSeries._from_complex([-c for c in self.coeffs])
+        return self._map(lambda c, zero: [-x for x in c])
 
     def __mul__(self, other):
         self._check_binary(other)
-        if self.mode == EXACT:
-            re, im = _product(self._re, self._im, other._re, other._im)
-            return TruncatedSeries._from_ints(re, im, self._den * other._den)
-        return TruncatedSeries._from_complex(_complex_product(self.coeffs, other.coeffs))
-
-    def scale(self, scalar):
-        if self.mode == EXACT:
-            return self * TruncatedSeries.constant(scalar, self.order, EXACT)
-        s = _coerce(scalar, self.mode)
-        return TruncatedSeries._from_complex([s * c for c in self.coeffs])
+        return self._product(other)
 
     def pow_int(self, k):
         """self**k by square-and-multiply: O(log k) products."""
@@ -537,15 +520,11 @@ class TruncatedSeries:
             raise DomainError("shift_down needs a vanishing constant term")
         if self.order < 1:
             raise ArgumentError("nothing left below order 0")
-        if self.mode == EXACT:
-            return TruncatedSeries._from_ints(self._re[1:], self._im[1:], self._den)
-        return TruncatedSeries._from_complex(self.coeffs[1:])
+        return self._map(lambda c, zero: c[1:])
 
     def shift_up(self):
         """Multiply by z; the order grows by one."""
-        if self.mode == EXACT:
-            return TruncatedSeries._from_ints([0] + self._re, [0] + self._im, self._den)
-        return TruncatedSeries._from_complex((0j,) + self.coeffs)
+        return self._map(lambda c, zero: [zero, *c])
 
     def compose(self, inner):
         """self(inner(z)), truncated at the smaller order n of the two.
@@ -566,7 +545,7 @@ class TruncatedSeries:
         n = min(self.order, inner.order)
         f = self.truncate(n)
         g = inner.truncate(n)
-        k = isqrt(n) + 1 if self.mode == EXACT else 1  # approx: Horner; see the module docstring
+        k = self._step(n + 1)
         powers = [TruncatedSeries.constant(1, n, self.mode), g]
         while len(powers) <= k:
             powers.append(powers[-1] * g)
@@ -585,69 +564,13 @@ class TruncatedSeries:
         term is the first entry of the (n-1)-th row of sums of neighbours
         over c_1..c_N, so the transform costs N^2/2 additions.
         """
-        if self.mode == EXACT:
-            re, im = _binomial_rows(self._re), _binomial_rows(self._im)
-            return TruncatedSeries._from_ints(re, im, self._den)
-        return TruncatedSeries._from_complex(_binomial_rows(list(self.coeffs)))
-
-    def _block_sums(self, powers):
-        """sum_i c_(jk+i) powers[i] over i < k = len(powers), for each block j of self.
-
-        Block j is truncated at order N - j k, the order that ``compose``
-        needs it to.  Exact mode brings the powers over the lcm of their
-        denominators once, so that every block is integer work over one
-        denominator.  Approx mode has blocks of one coefficient, c_j times
-        the constant 1.
-        """
-        top = self.order + 1
-        if self.mode == APPROX:
-            return [TruncatedSeries._from_complex((c,) + (0j,) * (top - 1 - j)) for j, c in enumerate(self.coeffs)]
-        k = len(powers)
-        den = lcm(*(p._den for p in powers))
-        scaled = [([x * (den // p._den) for x in p._re], [y * (den // p._den) for y in p._im]) for p in powers]
-        out = []
-        for start in range(0, top, k):
-            re, im = [0] * (top - start), [0] * (top - start)
-            for c, (p_re, p_im) in zip(range(start, top), scaled):
-                a, b = self._re[c], self._im[c]
-                if a or b:
-                    re = [r + a * x - b * y for r, x, y in zip(re, p_re, p_im)]
-                    im = [v + a * y + b * x for v, x, y in zip(im, p_re, p_im)]
-            out.append(TruncatedSeries._from_ints(re, im, self._den * den))
-        return out
+        return self._map(lambda c, zero: _binomial_rows(list(c)))
 
     def reciprocal(self):
-        """1/self; needs an invertible constant term.
-
-        Exact mode runs Newton's iteration b <- b(2 - self*b) from b = 1/c_0:
-        each step doubles the number of correct terms, so it truncates both
-        factors to that many.
-        """
+        """1/self; needs an invertible constant term."""
         if not self._nonzero(0):
             raise DomainError("reciprocal needs a nonzero constant term")
-        if self.mode == EXACT:
-            re, im, den = self._re, self._im, self._den
-            x, y = re[0], im[0]
-            b = TruncatedSeries._from_ints([den * x], [-den * y], x * x + y * y)
-            size = 1
-            while size <= self.order:
-                size = min(2 * size, self.order + 1)
-                pad = [0] * (size - len(b._re))
-                b_re, b_im = b._re + pad, b._im + pad
-                # self*b over den*b._den; 2 - self*b over the same.
-                e_re, e_im = _product(re[:size], im[:size], b_re, b_im)
-                e_re = [2 * den * b._den - e_re[0]] + [-v for v in e_re[1:]]
-                e_im = [-v for v in e_im]
-                new_re, new_im = _product(b_re, b_im, e_re, e_im)
-                b = TruncatedSeries._from_ints(new_re, new_im, b._den * den * b._den)
-            return b
-        # inv_n = -(sum_k c_k inv_(n-k), ascending k) / c_0.
-        coeffs = self.coeffs
-        a0 = coeffs[0]
-        inv = [(1 + 0j) / a0]
-        for n in range(1, self.order + 1):
-            inv.append(-sum(map(mul, coeffs[1 : n + 1], inv[::-1])) / a0)
-        return TruncatedSeries._from_complex(inv)
+        return self._reciprocal()
 
     def invert_composition(self):
         """The compositional inverse g with self(g(z)) = z + O(z^{N+1}).
@@ -673,37 +596,153 @@ class TruncatedSeries:
             raise DomainError("compositional inverse needs c_1 != 0")
         n = self.order
         h = self.shift_down().reciprocal()
-        s = isqrt(n - 1) + 1 if self.mode == EXACT else 1  # approx: one power at a time
+        s = self._step(n)
         baby = [TruncatedSeries.constant(1, n - 1, self.mode), h]
         while len(baby) <= s:
             baby.append(baby[-1] * h)
         giants = [baby[0], baby.pop()]
         while len(giants) <= n // s:
             giants.append(giants[-1] * giants[1])
-        pairs = [(giants[k // s], baby[k % s], k) for k in range(1, n + 1)]
-        if self.mode == EXACT:
-            # g_k = (re + i im)/dens[k], brought over one denominator at the end.
-            re, im, dens = [0], [0], [1]
-            for big, small, k in pairs:
-                a_re, a_im = big._re[:k], big._im[:k]
-                b_re, b_im = small._re[k - 1 :: -1], small._im[k - 1 :: -1]
-                re.append(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)))
-                im.append(sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)))
-                dens.append(big._den * small._den * k)
-            den = lcm(*dens)
-            return TruncatedSeries._from_ints(
-                [r * (den // d) for r, d in zip(re, dens)],
-                [i * (den // d) for i, d in zip(im, dens)],
-                den,
-            )
-        g = [0j]
+        return self._lagrange([(giants[k // s], baby[k % s], k) for k in range(1, n + 1)])
+
+    # -- serialization -------------------------------------------------------
+
+    def to_json(self):
+        return {"order": self.order, "mode": self.mode, "coeffs": self._json_coeffs()}
+
+    @classmethod
+    def from_json(cls, data):
+        """The series ``to_json`` wrote: its order is one less than its coefficient count."""
+        mode = _json_field(data, "mode", "string", "a series")
+        coeffs = [_json_pair(c, "a series coefficient") for c in _json_field(data, "coeffs", "list", "a series")]
+        order = data.get("order")
+        if type(order) is not int or order != len(coeffs) - 1:
+            raise ArgumentError(f"a series order must be its coefficient count less one, not {order!r}")
+        kind = _kind(mode)
+        return cls([kind._json_scalar(re, im) for re, im in coeffs], mode)
+
+
+class _ExactSeries(TruncatedSeries):
+    """Gaussian-integer numerators ``_re``, ``_im`` over one denominator ``_den``.
+
+    Its ``coeffs`` slot is filled on the first read.  Only this class has
+    the attribute hook: CPython sends every attribute read of a class that
+    defines ``__getattr__`` through the hook, which would slow the approx
+    loops.
+    """
+
+    __slots__ = ("coeffs", "_re", "_im", "_den")
+    mode = EXACT
+    _scalar = staticmethod(_exact_parts)
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset.
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self._den
+        self.coeffs = tuple(
+            ComplexRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(self._re, self._im)
+        )
+        return self.coeffs
+
+    def _fill(self, parts, pad):
+        # The least common denominator of reduced fractions leaves no content.
+        den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+        self._re = [p[0] * (den // p[1]) for p in parts] + [0] * pad
+        self._im = [p[2] * (den // p[3]) for p in parts] + [0] * pad
+        self._den = den
+
+    @staticmethod
+    def _step(n):
+        return isqrt(n - 1) + 1
+
+    def _nonzero(self, k):
+        return bool(self._re[k] or self._im[k])
+
+    def _key(self):
+        return self._den, tuple(self._re), tuple(self._im)
+
+    def _map(self, fn):
+        return TruncatedSeries._from_ints(fn(self._re, 0), fn(self._im, 0), self._den)
+
+    def _combine(self, other, op):
+        """op(self, other) over the least common denominator; op is + or -."""
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        return TruncatedSeries._from_ints(
+            [op(x * fa, y * fb) for x, y in zip(self._re, other._re)],
+            [op(x * fa, y * fb) for x, y in zip(self._im, other._im)],
+            self._den * fa,
+        )
+
+    def _product(self, other):
+        re, im = _gaussian_product(self._re, self._im, other._re, other._im)
+        return TruncatedSeries._from_ints(re, im, self._den * other._den)
+
+    def scale(self, scalar):
+        return self * TruncatedSeries.constant(scalar, self.order, EXACT)
+
+    def _block_sums(self, powers):
+        """sum_i c_(jk+i) powers[i] over i < k = len(powers), for each block j of self.
+
+        Block j is truncated at order N - j k, the order that ``compose``
+        needs it to.  The powers are brought over the lcm of their
+        denominators once, so that every block is integer work over one
+        denominator.
+        """
+        top = self.order + 1
+        scaled, den = _common_denominator(powers)
+        out = []
+        for start in range(0, top, len(powers)):
+            re, im = [0] * (top - start), [0] * (top - start)
+            for c, (p_re, p_im) in zip(range(start, top), scaled):
+                a, b = self._re[c], self._im[c]
+                if a or b:
+                    re = [r + a * x - b * y for r, x, y in zip(re, p_re, p_im)]
+                    im = [v + a * y + b * x for v, x, y in zip(im, p_re, p_im)]
+            out.append(TruncatedSeries._from_ints(re, im, self._den * den))
+        return out
+
+    def _reciprocal(self):
+        """Newton's iteration b <- b(2 - self*b) from b = 1/c_0.
+
+        Each step doubles the number of correct terms, so it truncates both
+        factors to that many.
+        """
+        re, im, den = self._re, self._im, self._den
+        x, y = re[0], im[0]
+        b = TruncatedSeries._from_ints([den * x], [-den * y], x * x + y * y)
+        size = 1
+        while size <= self.order:
+            size = min(2 * size, self.order + 1)
+            pad = [0] * (size - len(b._re))
+            b_re, b_im = b._re + pad, b._im + pad
+            # self*b over den*b._den; 2 - self*b over the same.
+            e_re, e_im = _gaussian_product(re[:size], im[:size], b_re, b_im)
+            e_re = [2 * den * b._den - e_re[0]] + [-v for v in e_re[1:]]
+            e_im = [-v for v in e_im]
+            new_re, new_im = _gaussian_product(b_re, b_im, e_re, e_im)
+            b = TruncatedSeries._from_ints(new_re, new_im, b._den * den * b._den)
+        return b
+
+    @staticmethod
+    def _lagrange(pairs):
+        """0, then [z^(k-1)] big*small / k for each (big, small, k), over one denominator."""
+        re, im, dens = [0], [0], [1]  # g_k = (re + i im)/dens[k]
         for big, small, k in pairs:
-            g.append(sum(map(mul, big.coeffs[:k], small.coeffs[k - 1 :: -1])) / k)
-        return TruncatedSeries._from_complex(g)
+            a_re, a_im = big._re[:k], big._im[:k]
+            b_re, b_im = small._re[k - 1 :: -1], small._im[k - 1 :: -1]
+            re.append(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)))
+            im.append(sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)))
+            dens.append(big._den * small._den * k)
+        den = lcm(*dens)
+        return TruncatedSeries._from_ints(
+            [r * (den // d) for r, d in zip(re, dens)],
+            [i * (den // d) for i, d in zip(im, dens)],
+            den,
+        )
 
     def to_approx(self):
-        if self.mode == APPROX:
-            return self
         # An integer quotient is correctly rounded, as Fraction.__float__ is;
         # 0.0 + keeps the +0.0 that complex(Fraction, Fraction) gives an
         # imaginary part that underflows.
@@ -716,55 +755,81 @@ class TruncatedSeries:
                 raise NumericalError(f"coefficient {k} of an exact series overflows double precision") from None
         return TruncatedSeries._from_complex(coeffs)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        if self.mode == EXACT:
-            den = self._den
-            coeffs = [[str(Fraction(r, den)), str(Fraction(i, den))] for r, i in zip(self._re, self._im)]
-        else:
-            coeffs = [[c.real, c.imag] for c in self.coeffs]
-        return {"order": self.order, "mode": self.mode, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, data):
-        """The series ``to_json`` wrote: its order is one less than its coefficient count."""
-        mode = _json_field(data, "mode", "string", "a series")
-        coeffs = [_json_pair(c, "a series coefficient") for c in _json_field(data, "coeffs", "list", "a series")]
-        order = data.get("order")
-        if type(order) is not int or order != len(coeffs) - 1:
-            raise ArgumentError(f"a series order must be its coefficient count less one, not {order!r}")
-        if mode == EXACT:
-            coeffs = [
-                ComplexRational(_json_fraction(re, "a series coefficient"), _json_fraction(im, "a series coefficient"))
-                for re, im in coeffs
-            ]
-        elif mode == APPROX:
-            coeffs = [
-                complex(_json_float(re, "a series coefficient"), _json_float(im, "a series coefficient"))
-                for re, im in coeffs
-            ]
-        else:
-            raise ArgumentError(f"unknown mode {mode!r}")
-        return cls(coeffs, mode)
-
-
-class _ExactSeries(TruncatedSeries):
-    """An exact series.  Its ``coeffs`` slot is filled on the first read.
-
-    Only this class has the attribute hook: CPython sends every attribute
-    read of a class that defines ``__getattr__`` through the hook, which
-    would slow the approx loops.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # Reached only while a slot is unset.
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _json_coeffs(self):
         den = self._den
-        self.coeffs = tuple(
-            ComplexRational(Fraction(r, den), Fraction(i, den)) for r, i in zip(self._re, self._im)
-        )
+        return [[str(Fraction(r, den)), str(Fraction(i, den))] for r, i in zip(self._re, self._im)]
+
+    @staticmethod
+    def _json_scalar(re, im):
+        return ComplexRational(_json_fraction(re, "a series coefficient"), _json_fraction(im, "a series coefficient"))
+
+
+class _ApproxSeries(TruncatedSeries):
+    """A tuple ``coeffs`` of Python complex numbers."""
+
+    __slots__ = ("coeffs",)
+    mode = APPROX
+
+    @staticmethod
+    def _scalar(value):
+        return _coerce(value, APPROX)
+
+    def _fill(self, coeffs, pad):
+        self.coeffs = tuple(coeffs) + (0j,) * pad
+
+    @staticmethod
+    def _step(n):
+        return 1  # Horner's rule and the power-by-power loop; see the module docstring
+
+    def _nonzero(self, k):
+        return bool(self.coeffs[k])
+
+    def _key(self):
         return self.coeffs
+
+    def _map(self, fn):
+        return TruncatedSeries._from_complex(fn(self.coeffs, 0j))
+
+    def _combine(self, other, op):
+        return TruncatedSeries._from_complex(list(map(op, self.coeffs, other.coeffs)))
+
+    def _product(self, other):
+        return TruncatedSeries._from_complex(_complex_product(self.coeffs, other.coeffs))
+
+    def scale(self, scalar):
+        s = self._scalar(scalar)
+        return self._map(lambda c, zero: [s * x for x in c])
+
+    def _block_sums(self, powers):
+        """Blocks of one coefficient: c_j times the constant 1, truncated at order N - j."""
+        top = self.order + 1
+        return [TruncatedSeries._from_complex((c,) + (0j,) * (top - 1 - j)) for j, c in enumerate(self.coeffs)]
+
+    def _reciprocal(self):
+        # inv_n = -(sum_k c_k inv_(n-k), ascending k) / c_0.
+        coeffs = self.coeffs
+        a0 = coeffs[0]
+        inv = [(1 + 0j) / a0]
+        for n in range(1, self.order + 1):
+            inv.append(-sum(map(mul, coeffs[1 : n + 1], inv[::-1])) / a0)
+        return TruncatedSeries._from_complex(inv)
+
+    @staticmethod
+    def _lagrange(pairs):
+        g = [0j]
+        for big, small, k in pairs:
+            g.append(sum(map(mul, big.coeffs[:k], small.coeffs[k - 1 :: -1])) / k)
+        return TruncatedSeries._from_complex(g)
+
+    def to_approx(self):
+        return self
+
+    def _json_coeffs(self):
+        return [[c.real, c.imag] for c in self.coeffs]
+
+    @staticmethod
+    def _json_scalar(re, im):
+        return complex(_json_float(re, "a series coefficient"), _json_float(im, "a series coefficient"))
+
+
+_KINDS = {EXACT: _ExactSeries, APPROX: _ApproxSeries}

@@ -254,7 +254,8 @@ def test_limit_report(tmp_path, capsys):
     assert report.read_text() == first
 
 
-@pytest.mark.parametrize("n_list", ["4,x", "4.0", "1e3", "x"])
+# Integers are ASCII digits: no '_' separators, no '+', no other script's digits.
+@pytest.mark.parametrize("n_list", ["4,x", "4.0", "1e3", "x", "1_6", "+4", "4,\u0668", "\uff14"])
 def test_limit_n_list_that_does_not_parse_exits_2(tmp_path, capsys, n_list):
     argv = ["limit", "--s", "1/2", "--omega", "1/4", "--n-list", n_list, "--out", str(tmp_path / "report.csv")]
     assert main(argv) == 2
@@ -262,6 +263,30 @@ def test_limit_n_list_that_does_not_parse_exits_2(tmp_path, capsys, n_list):
     assert captured.out == ""
     assert captured.err == f"error: --n-list must be comma-separated integers, not {n_list!r}\n"
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nc", "--n", "1_0"], ["ncl", "--n", "+4"], ["convolve", "--kind", "free", "--a", "a.json", "--b", "b.json",
+     "--order", "\u0668"], ["verify", "--order", "4", "--seed", "1_0"], ["verify", "--order", "\uff14"]],
+    ids=["underscore", "plus", "arabic-indic", "seed", "fullwidth"],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_integer_flags_keep_blanks_and_minus(capsys):
+    assert main(["nc", "--n", " 3 ", "--count-only"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    # -1 parses, and the size guard refuses it.
+    assert main(["nc", "--n", "-1", "--count-only"]) == 2
+    assert capsys.readouterr().err == "error: enumerate_nc supports 1 <= n <= 14\n"
 
 
 def test_limit_with_vanishing_first_moment_exits_2(tmp_path, capsys):

@@ -9,7 +9,8 @@ only ``__init__`` and ``verify`` import it.  In turn ``oracles`` imports
 none of the closed forms it checks.  Beyond the package, every module
 imports the standard library alone: the package has no third-party runtime
 dependency.  The checks read the sources, so an import hidden inside a
-function counts too.
+function counts too.  And only ``series`` reads the exact representation of a
+series, its numerator lists and their denominator.
 """
 import ast
 import sys
@@ -57,6 +58,14 @@ def absolute_imports(tree):
     return found
 
 
+SERIES_DATA = {"_re", "_im", "_den"}
+
+
+def series_data_reads(tree):
+    """Line numbers where an AST reads or writes an attribute of the exact series data."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in SERIES_DATA)
+
+
 def top_level_functions(path):
     tree = ast.parse(path.read_text())
     return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -95,6 +104,17 @@ def test_production_module_defines_no_oracle_route(module):
 def test_module_imports_only_the_standard_library(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert absolute_imports(tree) - sys.stdlib_module_names - {"cfreeconv"} == set()
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "series"))
+def test_only_series_reads_the_exact_series_data(module):
+    # Other modules bring exact series over one denominator with
+    # series._common_denominator and build them with TruncatedSeries._from_ints.
+    assert series_data_reads(ast.parse((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def test_series_data_detector_sees_reads_and_writes():
+    assert series_data_reads(ast.parse("d = f._den\nx = [g._re[k] for k in r]\ns._im = []")) == [1, 2, 3]
 
 
 @pytest.mark.parametrize(

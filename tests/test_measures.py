@@ -332,6 +332,23 @@ def test_pair_uniform_escape_hatch():
         )
 
 
+def test_approx_uniform_pair_product_is_the_running_powers_of_c():
+    # Both modes take cz/(1 - cz); in doubles its reciprocal's recurrence
+    # multiplies by c once per coefficient, as a running product does.
+    rng = random.Random(77)
+    for order in (1, 7, 40):
+        alpha = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.4, 0.4))
+        laws = [random_atomic(rng, QUARTER), CircleMeasure.poisson(alpha)]
+        pairs = [MeasurePair(law, CircleMeasure.haar()) for law in laws]
+        out = cfree_multiplicative_convolve(*pairs, order, "approx")
+        c = laws[0].moment_series(1, "approx").coeffs[1] * laws[1].moment_series(1, "approx").coeffs[1]
+        powers = [c]
+        while len(powers) < order:
+            powers.append(powers[-1] * c)
+        assert out.nu.kind == "haar"
+        assert out.mu.moment_series(order, "approx").coeffs[1:] == tuple(powers)
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_uniform_pair_product_refuses_an_order_below_one(mode):
     half = CircleMeasure.atomic([(Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))])

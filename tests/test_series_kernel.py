@@ -365,6 +365,21 @@ def series_products(monkeypatch, op):
     return count[0]
 
 
+def test_traced_methods_stay_on_the_base_class():
+    # The benchmark's tracer and the product counts above patch these on
+    # TruncatedSeries; an override in a representation's class would escape
+    # them and read 0 calls without any error.
+    traced = {"__mul__", "compose", "reciprocal", "invert_composition"}
+    assert traced <= set(vars(TruncatedSeries))
+    subclasses, seen = TruncatedSeries.__subclasses__(), []
+    while subclasses:
+        cls = subclasses.pop()
+        seen.append(cls)
+        subclasses += cls.__subclasses__()
+        assert traced.isdisjoint(vars(cls)), cls
+    assert {type(TruncatedSeries.exact([1])), type(TruncatedSeries.approx([1]))} <= set(seen)
+
+
 def test_exact_compose_and_reversion_make_about_two_sqrt_n_products(monkeypatch):
     n = 48
     rng = random.Random(48)
