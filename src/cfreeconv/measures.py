@@ -11,9 +11,14 @@ Everything else evaluates in double precision.
 
 Three convolutions act at this level.  The boolean one multiplies b-series,
 the free multiplicative one multiplies t-series, and the pair-level one
-multiplies t- and ct-series simultaneously.  Their infinitely divisible
-laws are parametrized by a unit scalar gamma and a finite positive atomic
-measure sigma through exponentials of the circular kernel
+multiplies t- and ct-series simultaneously.  Exact mode computes the two
+products that way.  Approx mode reaches the same laws by subordination
+(Biane; Belinschi-Bercovici): Newton's iteration solves for the two
+subordination functions, self-maps of the disk, so no series is reverted.
+The T route passes through m^-1, whose coefficients grow like |1/m_1|^k,
+and in doubles it lost products from order 24 or so on.  Their infinitely
+divisible laws are parametrized by a unit scalar gamma and a finite
+positive atomic measure sigma through exponentials of the circular kernel
 (1 + zeta z)/(1 - zeta z); the same generators drive the pair semigroup and
 the triangular-array limit experiment.
 """
@@ -35,6 +40,7 @@ from .series import (
 )
 from .transforms import (
     TransformBundle,
+    _check_invertible_first_moment,
     _moments_from_eta,
     b_series,
     eta,
@@ -404,17 +410,102 @@ def boolean_convolve(mu1, mu2, order=8, mode=None):
     return _measure_from_eta(b.shift_up())
 
 
+def _subordination(h1, h2):
+    """The subordination functions (omega_1, omega_2) of a free product, to order N.
+
+    The psi-laws enter through h_j = eta_j/z, of order N - 1.  omega_1
+    solves F(omega) = omega - z h2(z h1(omega)) = 0 and omega_2 is
+    z h1(omega_1).  Newton's iteration omega <- omega - delta, with
+    delta = F(omega)/F'(omega) and F' = 1 - z^2 h2'(z h1(omega)) h1'(omega),
+    starts from h2(0) z, right through degree 1.  A step from a solution
+    right through degree d is right through degree 2d + 1, so it runs at
+    the precisions N, N//2, ..., 1 taken from the top: log2 N steps of two
+    compositions at full order.  F vanishes through degree d, so F' is
+    needed only through degree p - d - 1, and the compositions of h1' and
+    h2' run at about half the order.  So does omega_2: delta^2 vanishes
+    through degree 2d + 1, so with u = z h1(omega) the step's
+    z h1(omega - delta) is u - z h1'(omega) delta.
+    """
+    precisions = [h1.order + 1]
+    while precisions[-1] > 1:
+        precisions.append(precisions[-1] // 2)
+    omega1 = TruncatedSeries([0, h2.coeffs[0]], h2.mode)
+    omega2 = TruncatedSeries([0, h1.coeffs[0]], h1.mode)
+    for done, p in zip(precisions[:0:-1], precisions[-2::-1]):
+        w = omega1._padded(p)
+        u = h1.compose(w.truncate(p - 1)).shift_up()
+        delta = w - h2.compose(u.truncate(p - 1)).shift_up()  # F(omega), zero through degree done
+        omega2 = u
+        low = p - done - 2  # h1'(omega) counts through degree low, F' through low + 1
+        if low >= 0:
+            d1 = h1.derivative().compose(w.truncate(low))
+            if low >= 1:
+                slope = h2.derivative().compose(u.truncate(low - 1)) * d1.truncate(low - 1)
+                step = TruncatedSeries.constant(1, low + 1, h2.mode) - slope.shift_up().shift_up()
+                delta = delta * step.reciprocal()._padded(p)
+            omega2 = u - (d1._padded(p - 1) * delta.truncate(p - 1)).shift_up()
+        omega1 = w - delta
+    return omega1, omega2
+
+
+def _subordinated_product(M1, m1, M2, m2):
+    """Phi- and psi-moments of the product of two pairs of moment series, by subordination.
+
+    With h_j = eta(m_j)/z and omega_1, omega_2 from :func:`_subordination`,
+    the product has eta = omega_1 omega_2 / z and
+    b(M) = b(M1) o omega_1 * b(M2) o omega_2, because the Sigma-series
+    b(M) o eta^-1 is multiplicative and eta_j^-1 o eta = omega_j.  Where
+    M_j is m_j, b(M_j) o omega_j is h_j(omega_j), that is omega_(other)/z,
+    and when both are, M is m.  No series is reverted.  The subordination
+    functions map the disk into itself, so a coefficient beyond modulus 1
+    (up to ``_MOMENT_SLACK``) means double precision lost them and raises
+    :class:`NumericalError`.
+    """
+    for m in (m1, m2):
+        _check_invertible_first_moment(m)
+    omega1, omega2 = _subordination(b_series(m1), b_series(m2))
+    moduli = [abs(c) for omega in (omega1, omega2) for c in omega.coeffs]
+    if not all(x <= 1 + _MOMENT_SLACK for x in moduli):
+        raise NumericalError(
+            f"subordination functions at order {m1.order} reach modulus {max(moduli):.3e}, "
+            "beyond the bound 1 for a self-map of the disk"
+        )
+    b1, b2 = omega2.shift_down(), omega1.shift_down()  # h1(omega_1) and h2(omega_2)
+    m = _moments_from_eta((b1 * b2).shift_up())
+    if M1 == m1 and M2 == m2:
+        return m, m
+    if M1 != m1:
+        b1 = b_series(M1).compose(omega1)
+    if M2 != m2:
+        b2 = b_series(M2).compose(omega2)
+    return _moments_from_eta((b1 * b2).shift_up()), m
+
+
 def free_multiplicative_convolve(nu1, nu2, order=8, mode=None):
-    """The law whose t-series is the product of the two given t-series."""
+    """The law whose t-series is the product of the two given t-series.
+
+    Exact mode multiplies the t-series; approx mode takes the psi side of
+    :func:`_subordinated_product`.  See :func:`cfree_multiplicative_convolve`.
+    """
     mode = _pick_mode(mode, nu1, nu2)
-    t = t_transform(nu1.moment_series(order, mode)) * t_transform(
-        nu2.moment_series(order, mode)
-    )
-    return _computed_law(moments_from_t(t))
+    m1, m2 = nu1.moment_series(order, mode), nu2.moment_series(order, mode)
+    if mode == "approx":
+        return _computed_law(_subordinated_product(m1, m1, m2, m2)[1])
+    return _computed_law(moments_from_t(t_transform(m1) * t_transform(m2)))
 
 
 def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
     """Pair product: t- and ct-series multiply simultaneously.
+
+    Exact mode multiplies the t- and ct-series of the two bundles (the T
+    route).  Approx mode takes :func:`_subordinated_product`, which forms
+    no m^-1: in doubles the T route loses the result wherever m^-1's
+    coefficients grow (|1/m_1|^k), from order 24 or so on near point
+    masses, while subordination stays within a few ulps of the exact
+    product up to order 64.  Exact mode keeps the T route because exact
+    subordination by Newton's iteration gives the same series but took
+    about twice as long (264 against 135 ms at order 64 on a
+    non-self-paired quarter-turn pair, 2-CPU x86-64 host, CPython 3.11).
 
     Both psi-laws need an invertible first moment.  The one escape hatch
     is the fully uniform case: when both psi-laws are the uniform law the
@@ -437,12 +528,13 @@ def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
             "a uniform psi-law only convolves with another uniform psi-law"
         )
     mode = _pick_mode(mode, p1.mu, p1.nu, p2.mu, p2.nu)
-    x, y = (
-        TransformBundle.from_moments(p.mu.moment_series(order, mode), p.nu.moment_series(order, mode))
-        for p in (p1, p2)
-    )
-    product = x.multiply(y)
-    return MeasurePair(_computed_law(product.M), _computed_law(product.m))
+    (M1, m1), (M2, m2) = ((p.mu.moment_series(order, mode), p.nu.moment_series(order, mode)) for p in (p1, p2))
+    if mode == "approx":
+        M, m = _subordinated_product(M1, m1, M2, m2)
+    else:
+        product = TransformBundle.from_moments(M1, m1).multiply(TransformBundle.from_moments(M2, m2))
+        M, m = product.M, product.m
+    return MeasurePair(_computed_law(M), _computed_law(m))
 
 
 # ---------------------------------------------------------------------------

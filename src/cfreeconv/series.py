@@ -5,7 +5,7 @@ number representation, and the representation is its class:
 ``TruncatedSeries(coeffs, mode)`` builds an ``_ExactSeries`` or an
 ``_ApproxSeries``, whose ``mode`` reads "exact" or "approx".  The checks and
 the algorithms (powers, composition, reversion, truncation, the shifts, the
-binomial transform, equality and JSON) are written once, on
+derivative, the binomial transform, equality and JSON) are written once, on
 ``TruncatedSeries``, over the primitives that its docstring lists.  A third
 representation costs one subclass, not a branch in every operation.
 
@@ -525,6 +525,12 @@ class TruncatedSeries:
     def shift_up(self):
         """Multiply by z; the order grows by one."""
         return self._map(lambda c, zero: [zero, *c])
+
+    def derivative(self):
+        """d/dz, the coefficients k c_k; drops to order-1."""
+        if self.order < 1:
+            raise ArgumentError("nothing left below order 0")
+        return self._map(lambda c, zero: [k * x for k, x in enumerate(c) if k])
 
     def compose(self, inner):
         """self(inner(z)), truncated at the smaller order n of the two.

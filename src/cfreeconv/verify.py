@@ -478,6 +478,29 @@ def positivity(order, rng):
     return f"3 random convolution triples at order {order}"
 
 
+def approx_products_vs_exact(order, rng):
+    # Approx free and pair products go through subordination, exact ones
+    # through the T route: on quarter-turn laws they must agree at order 24,
+    # where the T route in doubles lost the result.
+    n = 24
+    quarter = [Fraction(k, 4) for k in range(4)]
+    gap = 0.0
+    for _ in range(2):
+        a, b, c, d = (_random_atomic(rng, quarter) for _ in range(4))
+        pairs = MeasurePair(a, b), MeasurePair(c, d)
+        exact, approx = (cfree_multiplicative_convolve(*pairs, n, mode) for mode in ("exact", "approx"))
+        laws = [
+            (exact.mu, approx.mu),
+            (exact.nu, approx.nu),
+            (free_multiplicative_convolve(a, c, n, "exact"), free_multiplicative_convolve(a, c, n, "approx")),
+        ]
+        for want, got in laws:
+            xs, ys = (law.moment_series(n, "approx").coeffs for law in (want, got))
+            gap = max(gap, *(abs(x - y) for x, y in zip(xs, ys)))
+    _ensure(gap <= 1e-13, f"approx against exact: gap {gap:.1e}")
+    return f"2 pair and free products at order {n}, gap {gap:.1e}"
+
+
 def limit_trend(order, rng):
     report = limit_experiment(Fraction(1, 2), Fraction(1, 4), (2, 4), 3)
     sup = {}
@@ -514,6 +537,7 @@ CHECKS = (
     ("measures", "infinitely divisible roots", idiv_roots),
     ("measures", "semigroup half step", semigroup),
     ("measures", "toeplitz positivity gate", positivity),
+    ("measures", "approx products vs exact T route", approx_products_vs_exact),
     ("measures", "limit experiment trend", limit_trend),
 )
 SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))

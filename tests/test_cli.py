@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cfreeconv import errors, transforms, verify
+from cfreeconv import errors, measures, transforms, verify
 from cfreeconv.cli import main
-from cfreeconv.measures import CircleMeasure, boolean_convolve, free_multiplicative_convolve
+from cfreeconv.measures import CircleMeasure, boolean_convolve, free_multiplicative_convolve, toeplitz_psd_check
 from cfreeconv.partitions import enumerate_nc, enumerate_nc_s
 from cfreeconv.series import TruncatedSeries
 
@@ -431,8 +431,9 @@ def test_approx_vanishing_first_moment_exits_2(tmp_path, capsys, argv):
 
 
 # a = 1/2 d_0 + 1/3 d_{1/12} + 1/6 d_{5/12} and b = 3/4 d_0 + 1/4 d_{1/6}:
-# at order 48 the free product's moments come out of double precision with
-# moduli far above 1.  That is lost precision, not bad input.
+# at order 48 the free product's moments come out of the T route through m^-1
+# in double precision with moduli far above 1.  That is lost precision, not
+# bad input.  Subordination, the approx route, keeps them inside the disk.
 LOST_PRECISION_A = {
     "type": "atomic",
     "atoms": [
@@ -447,9 +448,17 @@ LOST_PRECISION_B = {
 }
 
 
-def test_computed_moment_bound_raises_numerical_error(tmp_path, capsys):
+def test_computed_moment_bound_raises_numerical_error(tmp_path, capsys, monkeypatch):
     a = CircleMeasure.from_json(LOST_PRECISION_A)
     b = CircleMeasure.from_json(LOST_PRECISION_B)
+    law = free_multiplicative_convolve(a, b, 48)
+    assert toeplitz_psd_check(law.moment_series(48).coeffs[1:])[0]
+
+    def t_route(M1, m1, M2, m2):
+        product = transforms.TransformBundle(M1, m1).multiply(transforms.TransformBundle(M2, m2))
+        return product.M, product.m
+
+    monkeypatch.setattr(measures, "_subordinated_product", t_route)
     with pytest.raises(errors.NumericalError, match="order 48"):
         free_multiplicative_convolve(a, b, 48)
     src_a = write(tmp_path / "a.json", LOST_PRECISION_A)
@@ -459,6 +468,31 @@ def test_computed_moment_bound_raises_numerical_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: computed moments at order 48 reach modulus")
     assert "Traceback" not in captured.err
+
+
+def test_subordination_beyond_the_disk_exits_2(tmp_path, capsys, monkeypatch):
+    # Subordination functions map the disk into itself; one whose
+    # coefficients leave it was lost to rounding, and nothing is returned.
+    solve = measures._subordination
+    monkeypatch.setattr(measures, "_subordination", lambda h1, h2: [omega.scale(1.5) for omega in solve(h1, h2)])
+    a = CircleMeasure.from_json(LOST_PRECISION_A)
+    b = CircleMeasure.from_json(LOST_PRECISION_B)
+    with pytest.raises(errors.NumericalError, match="order 12"):
+        free_multiplicative_convolve(a, b, 12)
+    pair = write(tmp_path / "p.json", {"mu": LOST_PRECISION_A, "nu": LOST_PRECISION_B})
+    assert main(["convolve", "--kind", "cfree", "--a", pair, "--b", pair, "--order", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: subordination functions at order 12 reach modulus 1.")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_measures_at_order_20_passes(capsys):
+    # The twelfth-turn products of the positivity row lost their moments on
+    # the T route through m^-1 in double precision.
+    assert main(["verify", "--suite", "measures", "--order", "20", "--seed", "1"]) == 0
+    rows = sum(suite == "measures" for suite, _, _ in verify.CHECKS)
+    assert f"{rows}/{rows} checks passed" in capsys.readouterr().out
 
 
 SIGMA_TARGET = {"mode": "approx", "order": 2, "coeffs": [[1, 0], [0, 0], [0, 0]]}

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cfreeconv.errors import DomainError
+from cfreeconv.errors import ArgumentError, DomainError
 from cfreeconv.measures import CircleMeasure
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import TransformBundle
@@ -194,6 +194,12 @@ def test_truncate_and_shifts(a, data):
             a.shift_down()
     elif a.order:
         assert agrees(a.shift_down(), a.coeffs[1:])
+    if a.order:
+        assert agrees(a.derivative(), [k * c for k, c in enumerate(a.coeffs)][1:])
+        assert a.to_approx().derivative() == TruncatedSeries.approx([k * c for k, c in enumerate(a.to_approx().coeffs)][1:])
+    else:
+        with pytest.raises(ArgumentError):
+            a.derivative()
 
 
 @SETTINGS

@@ -30,6 +30,7 @@ DEEPER = {
     ("transforms", "sigma value at zero"): (8, 6),  # 30 cases
     ("measures", "infinitely divisible roots"): (6, 1),
     ("measures", "toeplitz positivity gate"): (6, 3),  # 9 cases
+    ("measures", "approx products vs exact T route"): (5, 4),  # 10 pairs of pairs, always at order 24
 }
 
 
