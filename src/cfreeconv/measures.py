@@ -11,12 +11,13 @@ Everything else evaluates in double precision.
 
 Three convolutions act at this level.  The boolean one multiplies b-series,
 the free multiplicative one multiplies t-series, and the pair-level one
-multiplies t- and ct-series simultaneously.  Exact mode computes the two
-products that way.  Approx mode reaches the same laws by subordination
-(Biane; Belinschi-Bercovici): Newton's iteration solves for the two
-subordination functions, self-maps of the disk, so no series is reverted.
-The T route passes through m^-1, whose coefficients grow like |1/m_1|^k,
-and in doubles it lost products from order 24 or so on.  Their infinitely
+multiplies t- and ct-series simultaneously.  Both modes compute the two
+products by subordination (Biane; Belinschi-Bercovici): Newton's iteration
+solves for the two subordination functions, self-maps of the disk, so no
+series is reverted and no first moment needs to be invertible.  The T
+route of :class:`TransformBundle` passes through m^-1, whose coefficients
+grow like |1/m_1|^k; in doubles it lost products from order 24 or so on,
+and it stays as the independent check of the products.  The infinitely
 divisible laws are parametrized by a unit scalar gamma and a finite
 positive atomic measure sigma through exponentials of the circular kernel
 (1 + zeta z)/(1 - zeta z); the same generators drive the pair semigroup and
@@ -38,15 +39,7 @@ from .series import (
     _json_fraction,
     _json_pair,
 )
-from .transforms import (
-    TransformBundle,
-    _check_invertible_first_moment,
-    _moments_from_eta,
-    b_series,
-    eta,
-    moments_from_t,
-    t_transform,
-)
+from .transforms import TransformBundle, _moments_from_eta, b_series, eta
 
 _MOMENT_SLACK = 1e-7  # double-precision moments of a law may exceed 1 by this much
 
@@ -429,8 +422,7 @@ def _subordination(h1, h2):
     precisions = [h1.order + 1]
     while precisions[-1] > 1:
         precisions.append(precisions[-1] // 2)
-    omega1 = TruncatedSeries([0, h2.coeffs[0]], h2.mode)
-    omega2 = TruncatedSeries([0, h1.coeffs[0]], h1.mode)
+    omega1, omega2 = h2.truncate(0).shift_up(), h1.truncate(0).shift_up()
     for done, p in zip(precisions[:0:-1], precisions[-2::-1]):
         w = omega1._padded(p)
         u = h1.compose(w.truncate(p - 1)).shift_up()
@@ -456,15 +448,15 @@ def _subordinated_product(M1, m1, M2, m2):
     b(M) = b(M1) o omega_1 * b(M2) o omega_2, because the Sigma-series
     b(M) o eta^-1 is multiplicative and eta_j^-1 o eta = omega_j.  Where
     M_j is m_j, b(M_j) o omega_j is h_j(omega_j), that is omega_(other)/z,
-    and when both are, M is m.  No series is reverted.  The subordination
+    and when both are, M is m.  No series is reverted, and since F'(0) = 1
+    nothing is divided by a first moment: a psi-law with m_1 = 0, the
+    uniform law among them, takes the same route.  The subordination
     functions map the disk into itself, so a coefficient beyond modulus 1
-    (up to ``_MOMENT_SLACK``) means double precision lost them and raises
-    :class:`NumericalError`.
+    (up to ``_MOMENT_SLACK``) means that double precision lost them, or
+    that an input is no law, and raises :class:`NumericalError`.
     """
-    for m in (m1, m2):
-        _check_invertible_first_moment(m)
     omega1, omega2 = _subordination(b_series(m1), b_series(m2))
-    moduli = [abs(c) for omega in (omega1, omega2) for c in omega.coeffs]
+    moduli = [abs(c) for omega in (omega1, omega2) for c in omega.to_approx().coeffs]
     if not all(x <= 1 + _MOMENT_SLACK for x in moduli):
         raise NumericalError(
             f"subordination functions at order {m1.order} reach modulus {max(moduli):.3e}, "
@@ -482,58 +474,29 @@ def _subordinated_product(M1, m1, M2, m2):
 
 
 def free_multiplicative_convolve(nu1, nu2, order=8, mode=None):
-    """The law whose t-series is the product of the two given t-series.
-
-    Exact mode multiplies the t-series; approx mode takes the psi side of
-    :func:`_subordinated_product`.  See :func:`cfree_multiplicative_convolve`.
-    """
+    """The free multiplicative convolution of two laws: the psi side of :func:`cfree_multiplicative_convolve`."""
     mode = _pick_mode(mode, nu1, nu2)
     m1, m2 = nu1.moment_series(order, mode), nu2.moment_series(order, mode)
-    if mode == "approx":
-        return _computed_law(_subordinated_product(m1, m1, m2, m2)[1])
-    return _computed_law(moments_from_t(t_transform(m1) * t_transform(m2)))
+    return _computed_law(_subordinated_product(m1, m1, m2, m2)[1])
 
 
 def cfree_multiplicative_convolve(p1, p2, order=8, mode=None):
-    """Pair product: t- and ct-series multiply simultaneously.
+    """Pair product, by :func:`_subordinated_product` in both modes.
 
-    Exact mode multiplies the t- and ct-series of the two bundles (the T
-    route).  Approx mode takes :func:`_subordinated_product`, which forms
-    no m^-1: in doubles the T route loses the result wherever m^-1's
-    coefficients grow (|1/m_1|^k), from order 24 or so on near point
-    masses, while subordination stays within a few ulps of the exact
-    product up to order 64.  Exact mode keeps the T route because exact
-    subordination by Newton's iteration gives the same series but took
-    about twice as long (264 against 135 ms at order 64 on a
-    non-self-paired quarter-turn pair, 2-CPU x86-64 host, CPython 3.11).
-
-    Both psi-laws need an invertible first moment.  The one escape hatch
-    is the fully uniform case: when both psi-laws are the uniform law the
-    phi-moments collapse to powers of the product of the two first
-    phi-moments.  A uniform psi-law meeting a non-uniform one has no
-    moment-level product formula and is rejected.
+    Where both first psi-moments are invertible, its t- and ct-series are
+    the products of the factors' (the T route of
+    :meth:`TransformBundle.multiply`, the products' independent check).
+    Subordination also takes m_1 = 0, the uniform psi-law included.  In
+    doubles it stays within a few ulps of the exact product up to order 64,
+    while the T route loses the product from order 24 or so on.  In exact
+    mode the two routes give the same series; subordination takes 0.95-1.33
+    times as long at orders 8-16 and about half as long at 64 (125 against
+    219 ms for a c-free product of quarter-turn pairs that are not
+    self-paired; medians of 5, 2-CPU x86-64 host, CPython 3.11).
     """
-    if order < 1:
-        raise ArgumentError("at least one moment must be requested")
-    uniform1 = p1.nu.kind == "haar"
-    uniform2 = p2.nu.kind == "haar"
-    if uniform1 and uniform2:
-        mode = _pick_mode(mode, p1.mu, p2.mu)
-        first = [p.mu.moment_series(1, mode) for p in (p1, p2)]
-        c = first[0].shift_down() * first[1].shift_down()  # cz/(1 - cz) with c = m_1 m_1'
-        moments = _moments_from_eta(c._padded(order).shift_up().truncate(order))
-        return MeasurePair(_computed_law(moments), CircleMeasure.haar())
-    if uniform1 or uniform2:
-        raise UnsupportedDomainError(
-            "a uniform psi-law only convolves with another uniform psi-law"
-        )
     mode = _pick_mode(mode, p1.mu, p1.nu, p2.mu, p2.nu)
     (M1, m1), (M2, m2) = ((p.mu.moment_series(order, mode), p.nu.moment_series(order, mode)) for p in (p1, p2))
-    if mode == "approx":
-        M, m = _subordinated_product(M1, m1, M2, m2)
-    else:
-        product = TransformBundle.from_moments(M1, m1).multiply(TransformBundle.from_moments(M2, m2))
-        M, m = product.M, product.m
+    M, m = _subordinated_product(M1, m1, M2, m2)
     return MeasurePair(_computed_law(M), _computed_law(m))
 
 

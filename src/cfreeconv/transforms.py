@@ -39,10 +39,10 @@ the outcome of 29 and passes fell from 4,069 to 4,064), so it waits for a
 precision budget.  Their value is that the multiplicative
 convolution of laws turns into the coefficientwise product of these
 series, which the test-suite checks against the partition-sum route.
-Exact products in :mod:`measures` take this T route; approx ones take
-subordination there, with no reversion, because in doubles m^-1 loses
-them.  The approx T route stays for bundles, their powers and the checks.
-Moments come back in closed form,
+The products in :mod:`measures` take subordination in both modes, with no
+reversion and no m^-1, which needs m_1 invertible and in doubles loses
+them.  This T route stays for bundles, their powers and the independent
+check of those products.  Moments come back in closed form,
 
     m = (u / (t(u) (1 + u)))^-1,
     M = z c / (1 - z c),   c = ct o m,
@@ -76,20 +76,6 @@ from .series import TruncatedSeries
 def _check_vanishing(s, what):
     if s._nonzero(0):
         raise ArgumentError(f"{what} must have a vanishing constant term")
-
-
-def _check_invertible_first_moment(m):
-    """Refuse a psi-moment series whose first moment vanishes.
-
-    In approx mode m_1 counts as zero up to 1e-12 times the largest moment
-    modulus (at least 1).
-    """
-    if m.mode == "approx":
-        invertible = m.order >= 1 and not abs(m.coeffs[1]) <= 1e-12 * max(1.0, *map(abs, m.coeffs))
-    else:
-        invertible = m.order >= 1 and m._nonzero(1)
-    if not invertible:
-        raise UnsupportedDomainError("the psi-moment series needs an invertible first moment")
 
 
 def _one_plus(s):
@@ -240,9 +226,19 @@ class TransformBundle:
 
     @functools.cached_property
     def _m_inverse(self):
-        """The one reversion of m, which needs m_1 invertible."""
-        _check_invertible_first_moment(self.m)
-        return self.m.invert_composition()
+        """The one reversion of m, which needs m_1 invertible.
+
+        In approx mode m_1 counts as zero up to 1e-12 times the largest
+        moment modulus (at least 1).
+        """
+        m = self.m
+        if m.mode == "approx":
+            invertible = m.order >= 1 and not abs(m.coeffs[1]) <= 1e-12 * max(1.0, *map(abs, m.coeffs))
+        else:
+            invertible = m.order >= 1 and m._nonzero(1)
+        if not invertible:
+            raise UnsupportedDomainError("the psi-moment series needs an invertible first moment")
+        return m.invert_composition()
 
     @functools.cached_property
     def T(self):

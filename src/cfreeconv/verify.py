@@ -312,6 +312,18 @@ def linked_block_sums(order, rng):
     return f"3 cases at order {n}"
 
 
+def partition_product(x, y):
+    """Phi- and psi-moments of the product of two exact bundles, from the product cumulants' partition sums.
+
+    R and cR revert z(1 + m), so no first moment needs to be invertible.
+    """
+    n = x.order
+    r = TruncatedSeries.exact([0] + [product_psi_cumulants(x.R, y.R, k) for k in range(1, n + 1)])
+    cr = TruncatedSeries.exact([0] + [product_phi_cumulants(x, y, k) for k in range(1, n + 1)])
+    m = moments_from_free_cumulants(r)
+    return phi_moments_from_cfree_cumulants(cr, m), m
+
+
 def multiplicativity(order, rng):
     n = min(order, 5)
     for _ in range(2):
@@ -321,14 +333,7 @@ def multiplicativity(order, rng):
         My = random_vanishing(rng, n)
         bx = TransformBundle.from_moments(Mx, mx)
         by = TransformBundle.from_moments(My, my)
-        r_xy = TruncatedSeries.exact(
-            [0] + [product_psi_cumulants(bx.R, by.R, k) for k in range(1, n + 1)]
-        )
-        cr_xy = TruncatedSeries.exact(
-            [0] + [product_phi_cumulants(bx, by, k) for k in range(1, n + 1)]
-        )
-        m_xy = moments_from_free_cumulants(r_xy)
-        M_xy = phi_moments_from_cfree_cumulants(cr_xy, m_xy)
+        M_xy, m_xy = partition_product(bx, by)
         bxy = TransformBundle.from_moments(M_xy, m_xy)
         _ensure(bxy.T == bx.T * by.T, "t-series not multiplicative")
         _ensure(bxy.cT == bx.cT * by.cT, "ct-series not multiplicative")
@@ -359,7 +364,8 @@ def point_mass_laws(order, rng):
     _ensure(free_multiplicative_convolve(a, b, order).moment_series(order) == want, "free point masses")
     # Over uniform psi-laws the c-free product has the phi-moments (m_1 m_1')^k.
     # Given as moment lists, these quarter-turn laws have dyadic moments, which
-    # the approx branch rounds nowhere below order 16.
+    # the approx product, whose subordination functions vanish here, rounds
+    # nowhere below order 16.
     n = min(order, 16)
     laws = [
         CircleMeasure.moment_seq(law.moment_series(n).coeffs[1:])
@@ -478,24 +484,55 @@ def positivity(order, rng):
     return f"3 random convolution triples at order {order}"
 
 
+def t_route_product(x, y):
+    """Phi- and psi-moments of the product of two bundles, by the T route."""
+    product = x.multiply(y)
+    return product.M, product.m
+
+
+def exact_products_vs_independent_routes(order, rng):
+    # Exact free and pair products go through subordination.  Where the first
+    # psi-moments are invertible they must be the T route's; at order <= 6
+    # they must be the partition sums', also on psi-laws with m_1 = 0, the
+    # uniform law among them, met with other laws.
+    quarter = [Fraction(k, 4) for k in range(4)]
+    haar = CircleMeasure.haar()
+    halves = CircleMeasure.atomic([(0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])  # m_1 = 0, m_2 = 1
+    vanishing = CircleMeasure.atomic([(t, Fraction(1, 4)) for t in quarter]), halves, haar
+    n = min(order, 6)
+    for _ in range(2):
+        a, b, c, d = (_random_atomic(rng, quarter) for _ in range(4))
+        cases = [(order, t_route_product, (a, b), (c, d)), (order, t_route_product, (a, a), (c, c))]
+        for psi in vanishing:
+            cases += [(n, partition_product, *xy) for xy in (((a, psi), (c, d)), ((b, d), (c, psi)), ((a, psi), (c, haar)))]
+        for k, route, *laws in cases:
+            pairs = [MeasurePair(*pair) for pair in laws]
+            (M1, m1), (M2, m2) = ((p.mu.moment_series(k), p.nu.moment_series(k)) for p in pairs)
+            M, m = route(TransformBundle(M1, m1), TransformBundle(M2, m2))
+            got = cfree_multiplicative_convolve(*pairs, k)
+            _ensure((got.mu.moment_series(k), got.nu.moment_series(k)) == (M, m), f"pair product != {route.__name__}")
+            free = free_multiplicative_convolve(pairs[0].nu, pairs[1].nu, k).moment_series(k)
+            _ensure(free == m, f"free product != {route.__name__}")
+    return f"8 products against the T route at order {order}, 36 against partition sums at order {n}"
+
+
 def approx_products_vs_exact(order, rng):
-    # Approx free and pair products go through subordination, exact ones
-    # through the T route: on quarter-turn laws they must agree at order 24,
-    # where the T route in doubles lost the result.
+    # Approx free and pair products go through subordination: on quarter-turn
+    # laws they must agree with the exact T route at order 24, where the T
+    # route in doubles lost the result.
     n = 24
     quarter = [Fraction(k, 4) for k in range(4)]
     gap = 0.0
     for _ in range(2):
         a, b, c, d = (_random_atomic(rng, quarter) for _ in range(4))
         pairs = MeasurePair(a, b), MeasurePair(c, d)
-        exact, approx = (cfree_multiplicative_convolve(*pairs, n, mode) for mode in ("exact", "approx"))
-        laws = [
-            (exact.mu, approx.mu),
-            (exact.nu, approx.nu),
-            (free_multiplicative_convolve(a, c, n, "exact"), free_multiplicative_convolve(a, c, n, "approx")),
-        ]
+        (M1, m1), (M2, m2) = ((p.mu.moment_series(n), p.nu.moment_series(n)) for p in pairs)
+        M, m = t_route_product(TransformBundle(M1, m1), TransformBundle(M2, m2))
+        approx = cfree_multiplicative_convolve(*pairs, n, "approx")
+        free = moments_from_t(t_transform(M1) * t_transform(M2))
+        laws = [(M, approx.mu), (m, approx.nu), (free, free_multiplicative_convolve(a, c, n, "approx"))]
         for want, got in laws:
-            xs, ys = (law.moment_series(n, "approx").coeffs for law in (want, got))
+            xs, ys = want.to_approx().coeffs, got.moment_series(n, "approx").coeffs
             gap = max(gap, *(abs(x - y) for x, y in zip(xs, ys)))
     _ensure(gap <= 1e-13, f"approx against exact: gap {gap:.1e}")
     return f"2 pair and free products at order {n}, gap {gap:.1e}"
@@ -537,6 +574,7 @@ CHECKS = (
     ("measures", "infinitely divisible roots", idiv_roots),
     ("measures", "semigroup half step", semigroup),
     ("measures", "toeplitz positivity gate", positivity),
+    ("measures", "exact products vs T route, partition sums", exact_products_vs_independent_routes),
     ("measures", "approx products vs exact T route", approx_products_vs_exact),
     ("measures", "limit experiment trend", limit_trend),
 )

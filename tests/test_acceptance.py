@@ -268,7 +268,7 @@ def test_criterion_6_infinite_divisibility():
     mu2 = CircleMeasure.atomic([(0, Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 3))])
     haar = CircleMeasure.haar()
     out = cfree_multiplicative_convolve(MeasurePair(mu1, haar), MeasurePair(mu2, haar), 6)
-    assert out.nu == haar
+    assert out.nu.moment_series(6) == haar.moment_series(6)
     c1 = mu1.moment_series(1).coeffs[1]
     c2 = mu2.moment_series(1).coeffs[1]
     want = [(c1 * c2) ** k for k in range(1, 7)]

@@ -417,17 +417,30 @@ SIXTH_TURN_PAIR = {
     [
         ["transform", "--in", "{p}", "--what", "sigma", "--order", "4"],
         ["transform", "--in", "{p}", "--what", "ct", "--order", "4"],
-        ["convolve", "--kind", "cfree", "--a", "{p}", "--b", "{q}", "--order", "4"],
     ],
-    ids=["sigma", "ct", "cfree"],
+    ids=["sigma", "ct"],
 )
 def test_approx_vanishing_first_moment_exits_2(tmp_path, capsys, argv):
-    paths = {"p": write(tmp_path / "p.json", VANISHING_M1_PAIR), "q": write(tmp_path / "q.json", SIXTH_TURN_PAIR)}
+    paths = {"p": write(tmp_path / "p.json", VANISHING_M1_PAIR)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the psi-moment series needs an invertible first moment")
     assert "Traceback" not in captured.err
+
+
+def test_approx_cfree_product_of_a_cube_root_psi_law(tmp_path, capsys):
+    # Subordination divides by no first moment, so the product is a law.
+    # The cube-root psi-law is invariant under a third of a turn, and so is
+    # the product's psi-law: its moments m_k vanish unless 3 divides k.
+    p = write(tmp_path / "p.json", VANISHING_M1_PAIR)
+    q = write(tmp_path / "q.json", SIXTH_TURN_PAIR)
+    assert main(["convolve", "--kind", "cfree", "--a", p, "--b", q, "--order", "12"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    m = CircleMeasure.from_json(out["nu"]).moment_series(12)
+    assert m.mode == "approx"
+    assert max(abs(c) for k, c in enumerate(m.coeffs[1:], 1) if k % 3) <= 1e-14
+    assert min(abs(c) for c in m.coeffs[3::3]) > 0.1  # and the psi-law is not the uniform law
 
 
 # a = 1/2 d_0 + 1/3 d_{1/12} + 1/6 d_{5/12} and b = 3/4 d_0 + 1/4 d_{1/6}:

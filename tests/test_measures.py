@@ -30,6 +30,7 @@ from cfreeconv.measures import (
 from cfreeconv.oracles import product_psi_cumulants
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import TransformBundle, free_cumulants_from_moments, moments_from_t, sigma_series, t_transform
+from cfreeconv.verify import partition_product
 
 
 def q(re, im=0):
@@ -138,7 +139,8 @@ Y = CircleMeasure.atomic([(0, Fraction(1, 4)), (Fraction(1, 4), Fraction(7, 12))
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_computed_laws_keep_the_series_that_produced_them(mode):
-    # Exact products take the T route, approx ones subordination.
+    # Both modes take subordination.  Exact series are those of the T route;
+    # in doubles the two routes differ in the last bits.
     order = 8
     mx, my = X.moment_series(order, mode), Y.moment_series(order, mode)
     if mode == "exact":
@@ -189,8 +191,10 @@ def test_approx_product_of_pairs_that_are_not_self_paired():
     [
         lambda order: cfree_multiplicative_convolve(MeasurePair(X, Y), MeasurePair(Y, X), order, "approx"),
         lambda order: free_multiplicative_convolve(X, Y, order, "approx"),
+        lambda order: cfree_multiplicative_convolve(MeasurePair(X, Y), MeasurePair(Y, X), order, "exact"),
+        lambda order: free_multiplicative_convolve(X, Y, order, "exact"),
     ],
-    ids=["cfree", "free"],
+    ids=["cfree", "free", "exact-cfree", "exact-free"],
 )
 def test_approx_products_revert_no_series(monkeypatch, product):
     # Newton's iteration makes ceil(log2 N) steps of at most 4 compositions,
@@ -301,8 +305,16 @@ def test_free_point_masses_and_units():
     assert free_multiplicative_convolve(a, b, 6).moment_series(6) == want
     nu = CircleMeasure.atomic([(0, Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 4))])
     assert free_multiplicative_convolve(nu, CircleMeasure.point_mass(0), 6).moment_series(6) == nu.moment_series(6)
-    with pytest.raises(DomainError):
-        free_multiplicative_convolve(CircleMeasure.haar(), nu, 4)
+    assert free_multiplicative_convolve(CircleMeasure.haar(), nu, 4).moment_series(4) == TruncatedSeries.zero(4, "exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_a_free_product_with_the_uniform_law_is_uniform(mode):
+    # The uniform law absorbs every law: Haar x nu has only zero moments.
+    zero = TruncatedSeries.zero(12, mode)
+    for nu in (X, Y):
+        assert free_multiplicative_convolve(CircleMeasure.haar(), nu, 12, mode).moment_series(12, mode) == zero
+        assert free_multiplicative_convolve(nu, CircleMeasure.haar(), 12, mode).moment_series(12, mode) == zero
 
 
 def test_free_second_moment_against_partition_sums():
@@ -360,7 +372,22 @@ def test_pair_first_moment_multiplies():
     assert out.mu.moment_series(1).coeffs[1] == lam * other.mu.moment_series(1).coeffs[1]
 
 
+def pair_product_by_partition_sums(p1, p2, order):
+    """The product's (phi, psi) moment series by the partition-sum route."""
+    (M1, m1), (M2, m2) = ((p.mu.moment_series(order), p.nu.moment_series(order)) for p in (p1, p2))
+    return partition_product(TransformBundle(M1, m1), TransformBundle(M2, m2))
+
+
+def pair_product_moments(p1, p2, order):
+    out = cfree_multiplicative_convolve(p1, p2, order)
+    return out.mu.moment_series(order), out.nu.moment_series(order)
+
+
 def test_pair_uniform_escape_hatch():
+    # Over two uniform psi-laws the phi-moments are the powers of
+    # c = m_1 m_1' and the psi-law stays uniform.  A uniform psi-law meeting
+    # another law, and a psi-law with m_1 = 0, take the same route, which
+    # the partition sums confirm.
     rng = random.Random(75)
     mu1 = random_atomic(rng, QUARTER)
     mu2 = random_atomic(rng, QUARTER)
@@ -368,25 +395,30 @@ def test_pair_uniform_escape_hatch():
         MeasurePair(mu1, CircleMeasure.haar()), MeasurePair(mu2, CircleMeasure.haar()), 5
     )
     c = mu1.moment_series(1).coeffs[1] * mu2.moment_series(1).coeffs[1]
-    assert out.nu.kind == "haar"
+    assert out.nu.moment_series(5) == TruncatedSeries.zero(5, "exact")
     assert list(out.mu.moment_series(5).coeffs[1:]) == [c ** n for n in range(1, 6)]
-    with pytest.raises(UnsupportedDomainError):
-        cfree_multiplicative_convolve(
-            MeasurePair(mu1, CircleMeasure.haar()),
-            MeasurePair(mu2, random_invertible_atomic(rng, QUARTER)),
-            5,
-        )
+    pairs = MeasurePair(mu1, CircleMeasure.haar()), MeasurePair(mu2, random_invertible_atomic(rng, QUARTER))
+    assert pair_product_moments(*pairs, 5) == pair_product_by_partition_sums(*pairs, 5)
     zero_first = CircleMeasure.atomic(
         [(t, Fraction(1, 4)) for t in QUARTER]
     )
-    with pytest.raises(UnsupportedDomainError):
-        cfree_multiplicative_convolve(
-            MeasurePair(mu1, zero_first), MeasurePair(mu2, mu2), 4
-        )
+    pairs = MeasurePair(mu1, zero_first), MeasurePair(mu2, mu2)
+    assert pair_product_moments(*pairs, 4) == pair_product_by_partition_sums(*pairs, 4)
+
+
+def test_exact_pair_product_with_a_vanishing_first_moment_is_the_partition_sum():
+    # Equal atoms at 1 and -1: m_1 = 0 but m_2 = 1, so the psi-law is not
+    # uniform.  The T route cannot take it.
+    half_turn = CircleMeasure.atomic([(0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
+    for pairs in ((MeasurePair(X, half_turn), MeasurePair(Y, Y)), (MeasurePair(X, Y), MeasurePair(Y, half_turn))):
+        M, m = pair_product_by_partition_sums(*pairs, 6)
+        assert pair_product_moments(*pairs, 6) == (M, m)
+        assert m.coeffs[1] == 0 and m.coeffs[2]
 
 
 def test_approx_uniform_pair_product_is_the_running_powers_of_c():
-    # Both modes take cz/(1 - cz); in doubles its reciprocal's recurrence
+    # Over uniform psi-laws both subordination functions vanish, so
+    # M = cz/(1 - cz) in both modes; in doubles its reciprocal's recurrence
     # multiplies by c once per coefficient, as a running product does.
     rng = random.Random(77)
     for order in (1, 7, 40):
@@ -398,7 +430,7 @@ def test_approx_uniform_pair_product_is_the_running_powers_of_c():
         powers = [c]
         while len(powers) < order:
             powers.append(powers[-1] * c)
-        assert out.nu.kind == "haar"
+        assert out.nu.moment_series(order) == TruncatedSeries.zero(order, "approx")
         assert out.mu.moment_series(order, "approx").coeffs[1:] == tuple(powers)
 
 

@@ -30,6 +30,7 @@ DEEPER = {
     ("transforms", "sigma value at zero"): (8, 6),  # 30 cases
     ("measures", "infinitely divisible roots"): (6, 1),
     ("measures", "toeplitz positivity gate"): (6, 3),  # 9 cases
+    ("measures", "exact products vs T route, partition sums"): (12, 4),  # 32 T-route and 144 partition-sum products
     ("measures", "approx products vs exact T route"): (5, 4),  # 10 pairs of pairs, always at order 24
 }
 
