@@ -452,16 +452,21 @@ def _subordinated_product(M1, m1, M2, m2):
     nothing is divided by a first moment: a psi-law with m_1 = 0, the
     uniform law among them, takes the same route.  The subordination
     functions map the disk into itself, so a coefficient beyond modulus 1
-    (up to ``_MOMENT_SLACK``) means that double precision lost them, or
-    that an input is no law, and raises :class:`NumericalError`.
+    (up to ``_MOMENT_SLACK``) means that an input is no law, or in approx
+    mode that double precision lost them.  Exact arithmetic loses nothing,
+    so there it raises :class:`DomainError`, and :class:`NumericalError` in
+    approx mode.
     """
     omega1, omega2 = _subordination(b_series(m1), b_series(m2))
     moduli = [abs(c) for omega in (omega1, omega2) for c in omega.to_approx().coeffs]
     if not all(x <= 1 + _MOMENT_SLACK for x in moduli):
-        raise NumericalError(
+        reach = (
             f"subordination functions at order {m1.order} reach modulus {max(moduli):.3e}, "
             "beyond the bound 1 for a self-map of the disk"
         )
+        if m1.mode == "exact":
+            raise DomainError(f"an input moment list is not the moment sequence of a law: its {reach}")
+        raise NumericalError(reach)
     b1, b2 = omega2.shift_down(), omega1.shift_down()  # h1(omega_1) and h2(omega_2)
     m = _moments_from_eta((b1 * b2).shift_up())
     if M1 == m1 and M2 == m2:
@@ -615,15 +620,21 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
     """Compare pair products with boolean products along a triangular array.
 
     Row n carries n identical factors (1 - s/n) delta_1 + (s/n) delta_omega,
-    used as both laws of each pair.  By multiplicativity the n-fold pair
-    product has the n-th powers of the factor's t- and ct-series, and the
-    n-fold boolean product the n-th power of its b-series, so a row costs
-    O(log n) series products.  For every row the report holds the
-    coefficientwise gap between the sigma-series of the n-fold pair product
-    and the b-series of the n-fold boolean product, the rotation constant
-    gamma_n, the spread moments sigma_n, and a generator fitted from the
-    last row's boolean product.  A factor with vanishing first moment
-    (s/n = 1/2 at half a turn) has no t-series, so its row is refused.
+    used as both laws of each pair.  Sigma is multiplicative, so the n-fold
+    pair product has Sigma_n = Sigma_1^n, and the n-fold boolean product the
+    n-th power of the factor's b-series: a row costs O(log n) series
+    products.  Sigma_1 is the factor bundle's, so its two-route gate runs
+    on the factor.  The factor is self-paired, so Sigma_n = z / eta_n^-1(z),
+    and the moment bound of the n-fold pair law is checked on the moments
+    of eta_n = (z / Sigma_n)^-1, one reversion; the boolean law keeps its
+    bound.  For every row the report holds the coefficientwise gap between
+    Sigma_n and the b-series of the n-fold boolean product, the rotation
+    constant gamma_n, the spread moments sigma_n, and a generator fitted
+    from the last row's boolean product.  A factor with vanishing first
+    moment (s/n = 1/2 at half a turn) has no t-series and no Sigma, since
+    eta^-1 needs m_1 != 0, so its row is refused.
+    ``TransformBundle.power`` takes the T route to the same rows, their
+    independent check.
     """
     s = Fraction(s)
     omega_turns = Fraction(omega_turns)
@@ -643,11 +654,11 @@ def limit_experiment(s, omega_turns, n_list=(4, 8, 16, 32), order=4):
                 f"row n={n}: the factor's first moment vanishes, so it has no t-series"
             )
         m = factor.moment_series(order + 1, "approx")
-        pair_product = TransformBundle.from_moments(m, m).power(n)
+        pair_sigma = TransformBundle.from_moments(m, m).Sigma.pow_int(n)
         boolean_b = b_series(m).pow_int(n)
-        for moments in (pair_product.M, pair_product.m, _moments_from_eta(boolean_b.shift_up())):
-            _computed_law(moments)  # the moment bound on each n-fold law
-        pair_sigma = pair_product.Sigma
+        pair_eta = pair_sigma.reciprocal().shift_up().invert_composition()  # eta_n = (z / Sigma_n)^-1
+        for e in (pair_eta, boolean_b.shift_up()):
+            _computed_law(_moments_from_eta(e))  # the moment bound on each n-fold law
         for j in range(order + 1):
             rows.append(
                 {"n": n, "j": j, "gap": abs(pair_sigma.coeffs[j] - boolean_b.coeffs[j])}

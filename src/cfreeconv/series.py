@@ -35,17 +35,23 @@ rule runs at shrinking orders: the value after block j meets the giant step
 j more times, so it is kept only to order N - jk and padded by k zeros
 before the next product, whose giant step has k leading zeros.  Every
 coefficient is the same sum in the same order as at full order.  Approx
-mode runs the same code with blocks of one coefficient: that is Horner's
-rule (N products at orders 1..N, about N^3/6 complex multiply-adds rather
-than the N^3/2 of N full products) and the power-by-power Lagrange loop
-(N - 1 products), with their rounding.  In floats a composition's giant
-step multiplies the rounding error of each block by coefficients that grow
-like binomials wherever the inner series' coefficients do not decay (the
-reversion of a law near a point mass), and the error no longer cancels.
-Giant-step reversion is about as accurate as the loop, but it moves
-rounding enough to flip ill-conditioned approx results across their checks
-both ways, so approx mode keeps the loop until it has a precision budget.
-The binomial transform f(z/(1-z)) needs no product in either mode.
+mode takes the same giant steps where the series it steps over (the inner
+g of a composition, h = z/f in a reversion) has sum |c_k|^2 <= 1, as a
+Schur function has: omega, the eta of a law, the kernel of an infinitely
+divisible law.  Its powers keep that bound, so no giant step meets a large
+coefficient.  Elsewhere it takes blocks of one coefficient: Horner's rule
+(N products at orders 1..N, about N^3/6 complex multiply-adds rather than
+the N^3/2 of N full products) and the power-by-power Lagrange loop (N - 1
+products), with their rounding.  Those inners do not decay: m^-1 and
+eta^-1 grow like |1/m_1|^k, and the moment series of a law near a point
+mass has sum |m_k|^2 near N, so their powers grow like binomials, a giant
+step multiplies each block's rounding error by them, and giant steps over
+them flip ill-conditioned approx results (the T round trip of bundles)
+across their checks until approx mode has a precision budget.  On the
+perfbench approx_highorder pools every free, c-free, idiv and semigroup
+operation and every limit row takes giant steps, and no bundle or boolean
+operation does.  The binomial transform f(z/(1-z)) needs no product in
+either mode.
 
 An approx product, reciprocal and reversion form each coefficient as one
 dot product, ``sum(map(mul, ...))``, accumulated in ascending index of the
@@ -372,9 +378,10 @@ class TruncatedSeries:
     primitives: ``_scalar`` and ``_fill`` read and store the constructor's
     coefficients; ``_map`` applies a function to each data list, given the
     representation's zero; ``_combine``, ``_product``, ``_block_sums``,
-    ``_reciprocal`` and ``_lagrange`` are the arithmetic kernels; ``_step``
-    is the baby-step size; ``_nonzero`` tests one coefficient and ``_key``
-    is the data that equality compares.  ``scale``, ``to_approx`` and the
+    ``_reciprocal`` and ``_lagrange`` are the arithmetic kernels;
+    ``_step(n, inner)`` is the baby-step size over an inner series;
+    ``_nonzero`` tests one coefficient and ``_key`` is the data that
+    equality compares.  ``scale``, ``to_approx`` and the
     JSON scalars complete the set.  ``__mul__``, ``compose``,
     ``reciprocal`` and ``invert_composition`` stay here, where tracers and
     the tests' product counts patch them.
@@ -541,8 +548,9 @@ class TruncatedSeries:
         cost k-1 series products.  Each block of k coefficients of self is a
         scalar combination of those powers, with no product, and Horner's
         rule over the blocks in g^k costs ceil((n+1)/k) - 1 more.  Exact mode
-        takes k = ceil(sqrt(n+1)), about 2 sqrt(n) products in all; approx
-        mode takes k = 1, plain Horner with n products at orders 1..n.
+        takes k = ceil(sqrt(n+1)), about 2 sqrt(n) products in all, and so
+        does approx mode where g passes the rule of ``_step``; otherwise it
+        takes k = 1, plain Horner with n products at orders 1..n.
         """
         if self.mode != inner.mode:
             raise ArgumentError("mode mismatch")
@@ -551,7 +559,7 @@ class TruncatedSeries:
         n = min(self.order, inner.order)
         f = self.truncate(n)
         g = inner.truncate(n)
-        k = self._step(n + 1)
+        k = self._step(n + 1, g)
         powers = [TruncatedSeries.constant(1, n, self.mode), g]
         while len(powers) <= k:
             powers.append(powers[-1] * g)
@@ -587,14 +595,15 @@ class TruncatedSeries:
         k = j s + i, 0 <= i < s, that coefficient is one dot product of
         the coefficients of (h^s)^j and h^i.  One reciprocal and the powers
         h^2..h^s and (h^s)^2..(h^s)^(N // s) give every g_k.  Exact mode
-        takes s = ceil(sqrt(N)), about 2 sqrt(N) series products; approx
-        mode takes s = 1, the N - 1 products of h^2..h^N, about N^3/2
-        complex multiply-adds.  Each of them is span-sliced dot products
-        (``_complex_product``), so at N = 64 the reversion costs within a
-        few percent of the bare dot-product chain; only fewer multiply-adds,
-        that is giant steps, can cut it further.  A chain that took h's
-        reversed suffixes from one list built per reversion, skipping the
-        products' span scans, showed no end-to-end gain and is not used.
+        takes s = ceil(sqrt(N)), about 2 sqrt(N) series products, and so
+        does approx mode where h passes the rule of ``_step`` (the kernel
+        of an infinitely divisible law, Sigma_n of a limit row).  Otherwise
+        it takes s = 1, the N - 1 products of h^2..h^N, about N^3/2 complex
+        multiply-adds, each product span-sliced dot products
+        (``_complex_product``): at N = 64 within a few percent of the bare
+        dot-product chain.  A chain that took h's reversed suffixes from one
+        list built per reversion, skipping the products' span scans, showed
+        no end-to-end gain and is not used.
         """
         if self._nonzero(0):
             raise DomainError("compositional inverse needs c_0 = 0")
@@ -602,7 +611,7 @@ class TruncatedSeries:
             raise DomainError("compositional inverse needs c_1 != 0")
         n = self.order
         h = self.shift_down().reciprocal()
-        s = self._step(n)
+        s = self._step(n, h)
         baby = [TruncatedSeries.constant(1, n - 1, self.mode), h]
         while len(baby) <= s:
             baby.append(baby[-1] * h)
@@ -659,7 +668,7 @@ class _ExactSeries(TruncatedSeries):
         self._den = den
 
     @staticmethod
-    def _step(n):
+    def _step(n, inner):
         return isqrt(n - 1) + 1
 
     def _nonzero(self, k):
@@ -784,8 +793,20 @@ class _ApproxSeries(TruncatedSeries):
         self.coeffs = tuple(coeffs) + (0j,) * pad
 
     @staticmethod
-    def _step(n):
-        return 1  # Horner's rule and the power-by-power loop; see the module docstring
+    def _step(n, inner):
+        """ceil(sqrt(n)) where the inner series' coefficients have sum |c_k|^2 <= 1, else 1.
+
+        A Schur function (a self-map of the disk, such as omega or the eta of
+        a law) has that sum at most 1 by Parseval, and so does every power of
+        it, so no giant step meets a large coefficient.  Where the sum exceeds
+        1 (m^-1 and eta^-1, whose coefficients grow like |1/m_1|^k, and the
+        moment series of a law near a point mass), the powers grow and their
+        rounding with them: blocks of one coefficient keep Horner's rule and
+        the power-by-power Lagrange loop.  NaN fails the test.
+        """
+        if sum(c.real * c.real + c.imag * c.imag for c in inner.coeffs) <= 1:
+            return isqrt(n - 1) + 1
+        return 1
 
     def _nonzero(self, k):
         return bool(self.coeffs[k])
@@ -807,9 +828,24 @@ class _ApproxSeries(TruncatedSeries):
         return self._map(lambda c, zero: [s * x for x in c])
 
     def _block_sums(self, powers):
-        """Blocks of one coefficient: c_j times the constant 1, truncated at order N - j."""
+        """c_(jk) + sum_(0 < i < k) c_(jk+i) powers[i], k = len(powers), for each block j, at order N - j k.
+
+        c_(jk) is added at degree 0, so nothing is multiplied by the constant
+        powers[0].  Each coefficient accumulates in ascending i, skipping the
+        zero c_(jk+i).  With k = 1 a block is its coefficient, padded.
+        """
         top = self.order + 1
-        return [TruncatedSeries._from_complex((c,) + (0j,) * (top - 1 - j)) for j, c in enumerate(self.coeffs)]
+        coeffs = self.coeffs
+        if len(powers) == 1:
+            return [TruncatedSeries._from_complex((c,) + (0j,) * (top - 1 - j)) for j, c in enumerate(coeffs)]
+        out = []
+        for start in range(0, top, len(powers)):
+            block = [coeffs[start]] + [0j] * (top - 1 - start)
+            for c, power in zip(coeffs[start + 1 : top], powers[1:]):
+                if c:
+                    block = [b + c * x for b, x in zip(block, power.coeffs)]
+            out.append(TruncatedSeries._from_complex(block))
+        return out
 
     def _reciprocal(self):
         # inv_n = -(sum_k c_k inv_(n-k), ascending k) / c_0.

@@ -41,8 +41,9 @@ convolution of laws turns into the coefficientwise product of these
 series, which the test-suite checks against the partition-sum route.
 The products in :mod:`measures` take subordination in both modes, with no
 reversion and no m^-1, which needs m_1 invertible and in doubles loses
-them.  This T route stays for bundles, their powers and the independent
-check of those products.  Moments come back in closed form,
+them.  This T route stays for bundles and, through ``multiply`` and
+``power``, as the independent check of those products and of the limit
+rows, which take Sigma_1^n.  Moments come back in closed form,
 
     m = (u / (t(u) (1 + u)))^-1,
     M = z c / (1 - z c),   c = ct o m,

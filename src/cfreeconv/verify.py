@@ -23,6 +23,7 @@ from .measures import (
     CircleMeasure,
     IdGenerator,
     MeasurePair,
+    _subordination,
     boolean_convolve,
     cfree_multiplicative_convolve,
     free_multiplicative_convolve,
@@ -61,6 +62,7 @@ from .transforms import (
     b_series,
     cfree_cumulants_from_moments,
     ct_transform,
+    eta,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
     moments_from_t,
@@ -117,6 +119,14 @@ def _random_atomic(rng, pool):
         total = sum(raw)
         m = CircleMeasure.atomic([(t, w / total) for t, w in zip(turns, raw)])
         if m.moment_series(1).coeffs[1]:
+            return m
+
+
+def _random_law_moments(rng, pool, order):
+    """Approx moments of a seeded atomic law with |m_1| >= 1/2, so that m^-1 stays well inside double range."""
+    while True:
+        m = _random_atomic(rng, pool).moment_series(order, "approx")
+        if abs(m.coeffs[1]) >= 0.5:
             return m
 
 
@@ -213,6 +223,49 @@ def boxed_unit_and_associativity(order, rng):
         right = boxed_convolution(f, boxed_convolution(g, h))
         _ensure(left == right, "not associative")
     return f"5 cases at order {n}"
+
+
+def _exact_of(s):
+    """The exact series with an approx series' doubles, each a dyadic rational."""
+    return TruncatedSeries.exact([ComplexRational(Fraction(c.real), Fraction(c.imag)) for c in s.coeffs])
+
+
+def _power_size(g):
+    """The largest coefficient modulus of g^0..g^(N+1), at least 1, computed in doubles."""
+    size, power = 1.0, TruncatedSeries.constant(1, g.order, "approx")
+    for _ in range(g.order + 1):
+        power = power * g
+        size = max(size, *map(abs, power.coeffs))
+    return size
+
+
+def approx_kernel_vs_exact(order, rng):
+    # Approx compositions and reversions against the exact kernel on the same
+    # doubles.  The inners omega_1 (from two laws' subordination) and eta(m)
+    # are Schur functions, and so is h = z/f for the generator exponential f
+    # that an infinitely divisible law reverts; m^-1, and h = z/m in the
+    # reversion of m, grow like |1/m_1|^k.  A coefficient may miss the exact
+    # one by 4 n u sum_j |f_j| P, with u = 2^-53 and P the largest coefficient
+    # of a power of the inner; a reversion counts h for both f and the inner.
+    twelfth = [Fraction(k, 12) for k in range(12)]
+    x, y, z = (_random_law_moments(rng, twelfth, order) for _ in range(3))
+    omega1, _ = _subordination(b_series(x), b_series(y))
+    atoms = [(rng.choice(twelfth), Fraction(rng.randint(1, 6), 20)) for _ in range(2)]
+    generator = IdGenerator(cmath.exp(1j * rng.uniform(-0.5, 0.5)), CircleMeasure.atomic(atoms, probability=False))
+    cases = []
+    for f, g in ((b_series(z), omega1), (b_series(y), eta(x)), (eta(y).shift_down(), y.invert_composition())):
+        n = min(f.order, g.order)
+        size = n * sum(map(abs, f.coeffs[: n + 1])) * _power_size(g.truncate(n))
+        cases.append((f.compose(g), _exact_of(f).compose(_exact_of(g)), size, "composition"))
+    for f in (x, herglotz_exp(generator, 1, order - 1).shift_up()):
+        h = f.shift_down().reciprocal()
+        size = f.order * sum(map(abs, h.coeffs)) * _power_size(h)
+        cases.append((f.invert_composition(), _exact_of(f).invert_composition(), size, "reversion"))
+    for got, want, size, what in cases:
+        bound = 4 * 2.0**-53 * size
+        gap = max(abs(a - b) for a, b in zip(got.coeffs, want.to_approx().coeffs))
+        _ensure(gap <= bound, f"{what}: gap {gap:.3e} beyond {bound:.3e}")
+    return f"3 compositions and 2 reversions at order {order}, within 4 n u sum|f_j| P"
 
 
 # -- cumulants ----------------------------------------------------------------
@@ -464,7 +517,7 @@ def semigroup(order, rng):
     _ensure(gap < 1e-9, f"half+half gap {gap}")
     start = semigroup_pair(gen_nu, target, 0, n_ord)
     _ensure(start.mu == CircleMeasure.point_mass(0), "time zero")
-    return f"half+half = whole at order {n_ord}, gap {gap:.1e}"
+    return f"half+half = whole at order {n_ord}, gap below 1e-9"
 
 
 def positivity(order, rng):
@@ -535,7 +588,7 @@ def approx_products_vs_exact(order, rng):
             xs, ys = want.to_approx().coeffs, got.moment_series(n, "approx").coeffs
             gap = max(gap, *(abs(x - y) for x, y in zip(xs, ys)))
     _ensure(gap <= 1e-13, f"approx against exact: gap {gap:.1e}")
-    return f"2 pair and free products at order {n}, gap {gap:.1e}"
+    return f"2 pair and free products at order {n}, gap below 1e-13"
 
 
 def limit_trend(order, rng):
@@ -549,6 +602,31 @@ def limit_trend(order, rng):
     return f"sup gap {sup[2]:.3f} -> {sup[4]:.3f}"
 
 
+def limit_rows_vs_t_route(order, rng):
+    # limit_experiment takes Sigma_1^n; the T route raises t and ct to the
+    # n-th power, rebuilds the n-fold law's moments and reads its Sigma.  The
+    # rows agree within 1e-12 times the largest coefficient of Sigma_n (at
+    # least 1).  The T route loses digits with the order, so rows stop at 5:
+    # at s = 1, n = 4, omega = 2/3 it misses the rows of the exact kernel on
+    # the same doubles by 2e-13 at order 5 and by 9e-10 at order 8, where
+    # Sigma_1^n misses them by 2e-14 and 6e-12.
+    order = min(order, 5)
+    for _ in range(3):
+        s, omega = Fraction(rng.randint(1, 4), 4), Fraction(rng.randint(1, 11), 12)
+        report = limit_experiment(s, omega, (4, 16), order)
+        for n in (4, 16):
+            factor = CircleMeasure.atomic([(0, 1 - s / n), (omega, s / n)])
+            m = factor.moment_series(order + 1, "approx")
+            sigma, b = TransformBundle(m, m).power(n).Sigma, b_series(m).pow_int(n)
+            want = [abs(x - y) for x, y in zip(sigma.coeffs, b.coeffs)]
+            got = [row["gap"] for row in report["rows"] if row["n"] == n]
+            _ensure(len(got) == len(want) == order + 1, f"n={n}: {len(got)} rows")
+            gap = max(abs(x - y) for x, y in zip(got, want))
+            scale = max(1.0, *map(abs, sigma.coeffs))
+            _ensure(gap <= 1e-12 * scale, f"s={s}, omega={omega}, n={n}: rows differ by {gap:.1e}")
+    return f"3 triangular arrays, rows n = 4 and 16 at order {order}, within 1e-12 relative"
+
+
 # -- Registry -----------------------------------------------------------------
 
 CHECKS = (
@@ -560,6 +638,7 @@ CHECKS = (
     ("series", "compositional inverse round trip", inverse_round_trip),
     ("series", "reciprocal", reciprocals),
     ("series", "boxed convolution unit/associativity", boxed_unit_and_associativity),
+    ("series", "approx compose and reversion vs exact kernel", approx_kernel_vs_exact),
     ("cumulants", "psi round trips", psi_round_trips),
     ("cumulants", "phi round trips", phi_round_trips),
     ("cumulants", "closed forms vs partition sums", closed_forms_vs_partition_sums),
@@ -577,6 +656,7 @@ CHECKS = (
     ("measures", "exact products vs T route, partition sums", exact_products_vs_independent_routes),
     ("measures", "approx products vs exact T route", approx_products_vs_exact),
     ("measures", "limit experiment trend", limit_trend),
+    ("measures", "limit rows vs T route", limit_rows_vs_t_route),
 )
 SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 

@@ -500,6 +500,16 @@ def test_subordination_beyond_the_disk_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_exact_moments_of_no_law_exit_2(tmp_path, capsys):
+    # m_1 = 1 and m_2 = -1: bounded by 1, but no law on the circle.
+    src = write(tmp_path / "x.json", {"type": "moments", "values": [["1", "0"], ["-1", "0"]]})
+    assert main(["convolve", "--kind", "free", "--a", src, "--b", src, "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: an input moment list is not the moment sequence of a law")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_measures_at_order_20_passes(capsys):
     # The twelfth-turn products of the positivity row lost their moments on
     # the T route through m^-1 in double precision.

@@ -666,6 +666,7 @@ def test_limit_experiment_forms_no_convolution(monkeypatch):
 
     for name in ("cfree_multiplicative_convolve", "boolean_convolve"):
         monkeypatch.setattr(measures, name, refuse)
+    monkeypatch.setattr(TransformBundle, "power", refuse)  # rows are Sigma_1^n, not the T-route power
     report = limit_experiment(Fraction(1, 2), Fraction(1, 4), (4, 8, 16), 3)
     assert len(report["rows"]) == 12
 
@@ -675,6 +676,21 @@ def test_limit_experiment_refuses_a_vanishing_first_moment(s, n):
     # (1 - s/n) delta_1 + (s/n) delta_{1/2} has m_1 = 1 - 2s/n = 0
     with pytest.raises(UnsupportedDomainError, match="first moment vanishes"):
         limit_experiment(s, Fraction(1, 2), (n,), 3)
+
+
+def test_exact_moments_of_no_law_are_a_domain_error():
+    # m_1 = 1 forces the point mass at 1, whose second moment is 1, not -1:
+    # the list is bounded by 1 but is no law, and its subordination functions
+    # leave the disk.  Exact arithmetic lost nothing, so it says so; in
+    # doubles the same gate cannot tell lost precision from such an input.
+    x = CircleMeasure.moment_seq([ComplexRational(1), ComplexRational(-1)])
+    with pytest.raises(DomainError, match="an input moment list is not the moment sequence of a law"):
+        free_multiplicative_convolve(x, x, 2)
+    with pytest.raises(DomainError, match="subordination functions at order 2 reach modulus"):
+        cfree_multiplicative_convolve(MeasurePair(x, x), MeasurePair(x, x), 2)
+    y = CircleMeasure.moment_seq([1.0, -1.0])
+    with pytest.raises(NumericalError, match="^subordination functions at order 2 reach modulus"):
+        free_multiplicative_convolve(y, y, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Lagrange loop run on the kernel, and quarter-turn moments with their
 ComplexRational sums.  The approx kernel's dot products and shrinking-order
 Horner's rule are compared bit for bit, signed zeros included, with the
 nested loops that approx mode ran before them, at every order up to 64 and
-on the moment series of three benchmark-shaped laws; the product is also
-compared with the span-bounded product it replaced, on terms that are
-infinite, NaN or subnormal.
+on the moment series of three benchmark-shaped laws; where the inner series
+of a composition or reversion passes the step rule (sum |c_k|^2 <= 1), with
+giant-step references over the same loops, and with the exact kernel run on
+the same doubles.  The product is also compared with the span-bounded
+product it replaced, on terms that are infinite, NaN or subnormal.
 """
 import math
 import random
@@ -22,10 +24,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cfreeconv.errors import ArgumentError, DomainError
-from cfreeconv.measures import CircleMeasure
+from cfreeconv.errors import ArgumentError, DomainError, NumericalError
+from cfreeconv.measures import CircleMeasure, MeasurePair, cfree_multiplicative_convolve, free_multiplicative_convolve
 from cfreeconv.series import ComplexRational, TruncatedSeries
 from cfreeconv.transforms import TransformBundle
+from cfreeconv.verify import _exact_of
 
 # -- the reference: lists of ComplexRational, schoolbook loops ----------------
 
@@ -343,16 +346,24 @@ def close(result, reference, rel=1e-12):
 
 @pytest.mark.parametrize("n", range(17))
 def test_approx_compose_and_reversion_follow_the_references(n):
+    # An inner with sum |c_k|^2 <= 1 takes giant steps, with their rounding;
+    # any other keeps the rounding of Horner's rule and of the Lagrange loop.
     rng = random.Random(3000 + n)
     for f, g in compose_cases(rng, n):
         fa, ga = f.to_approx(), g.to_approx()
-        assert fa.compose(ga) == horner(fa, ga)  # the rounding of Horner's rule, not of giant steps
+        if takes_giant_steps(ga.coeffs[: min(f.order, g.order) + 1]):
+            assert bits(fa.compose(ga).coeffs) == bits(giant_compose(fa.coeffs, ga.coeffs))
+        else:
+            assert fa.compose(ga) == horner(fa, ga)
         assert close(fa.compose(ga), horner(f, g))
     if n:
         f = seeded_series(rng, n, vanish=[0])
         if f.coeffs[1]:
             fa = f.to_approx()
-            assert fa.invert_composition() == lagrange(fa)
+            if takes_giant_steps(loop_reciprocal(fa.coeffs[1:])):
+                assert bits(fa.invert_composition().coeffs) == bits(giant_invert(fa.coeffs))
+            else:
+                assert fa.invert_composition() == lagrange(fa)
             assert close(fa.invert_composition(), lagrange(f))
 
 
@@ -505,6 +516,63 @@ def loop_invert(f):
     return g
 
 
+def takes_giant_steps(inner):
+    """The step rule: giant steps over an inner series whose coefficients have sum |c_k|^2 <= 1."""
+    return sum(c.real * c.real + c.imag * c.imag for c in inner) <= 1
+
+
+def giant_compose(f, g):
+    """Brent-Kung over loop_mul: blocks of k = ceil(sqrt(n + 1)) coefficients, Horner's rule in g^k.
+
+    Block j is c_(jk) at degree 0 plus c_(jk+i) g^i over 0 < i < k, added in
+    ascending i and skipping zero coefficients; blocks and values run at full
+    order, which changes no coefficient up to n.
+    """
+    n = min(len(f), len(g)) - 1
+    f, g = f[: n + 1], g[: n + 1]
+    k = math.isqrt(n) + 1
+    powers = [[1 + 0j] + [0j] * n, list(g)]
+    while len(powers) <= k:
+        powers.append(loop_mul(powers[-1], g))
+    giant = powers.pop()
+    blocks = []
+    for start in range(0, n + 1, k):
+        block = [f[start]] + [0j] * n
+        for c, power in zip(f[start + 1 : start + k], powers[1:]):
+            if c:
+                block = [b + c * x for b, x in zip(block, power)]
+        blocks.append(block)
+    out = blocks.pop()
+    for block in reversed(blocks):
+        out = [x + y for x, y in zip(loop_mul(out, giant), block)]
+    return out
+
+
+def giant_invert(f):
+    """Johansson's Lagrange reversion over loop_mul: g_k = [z^(k-1)] (h^s)^(k // s) h^(k % s) / k, s = ceil(sqrt(n))."""
+    n = len(f) - 1
+    h = loop_reciprocal(f[1:])
+    s = math.isqrt(n - 1) + 1
+    baby = [[1 + 0j] + [0j] * (n - 1), h]
+    while len(baby) <= s:
+        baby.append(loop_mul(baby[-1], h))
+    giants = [baby[0], baby.pop()]
+    while len(giants) <= n // s:
+        giants.append(loop_mul(giants[-1], giants[1]))
+    return [0j] + [sum(map(mul, giants[k // s][:k], baby[k % s][k - 1 :: -1])) / k for k in range(1, n + 1)]
+
+
+def approx_compose_reference(f, g):
+    """giant_compose where the truncated inner takes giant steps, loop_compose otherwise."""
+    n = min(len(f), len(g)) - 1
+    return giant_compose(f, g) if takes_giant_steps(g[: n + 1]) else loop_compose(f, g)
+
+
+def approx_invert_reference(f):
+    """giant_invert where h = z/f takes giant steps, loop_invert otherwise."""
+    return giant_invert(f) if takes_giant_steps(loop_reciprocal(f[1:])) else loop_invert(f)
+
+
 def span_bounded_mul(a, b):
     """The approx product as the kernel formed it with two bounds and two slices per coefficient."""
     count = len(a)
@@ -570,16 +638,27 @@ LAWS = (
 )
 
 
+def giant_close(result, f, g=None):
+    """A composition f(g), or the reversion of f, within 1e-12 of the exact kernel on the same doubles."""
+    exact = _exact_of(f)
+    return close(result, exact.compose(_exact_of(g)) if g is not None else exact.invert_composition())
+
+
 @pytest.mark.parametrize("n", range(65))
 def test_approx_kernel_is_the_loops_bit_for_bit(n):
+    # Compositions and reversions follow the loops where the inner fails the
+    # step rule; where it passes, they follow the giant-step references and
+    # stay within 1e-12 of the exact kernel on the same doubles.
     rng = random.Random(5000 + n)
     if n in (16, 32, 64):
         moments = [law.moment_series(n, "approx") for law in LAWS]
         for f in moments:
-            assert bits(f.invert_composition().coeffs) == bits(loop_invert(f.coeffs))
+            assert bits(f.invert_composition().coeffs) == bits(approx_invert_reference(f.coeffs))
             for g in moments:
                 assert bits((f * g).coeffs) == bits(loop_mul(f.coeffs, g.coeffs))
-                assert bits(f.compose(g).coeffs) == bits(loop_compose(f.coeffs, g.coeffs))
+                assert bits(f.compose(g).coeffs) == bits(approx_compose_reference(f.coeffs, g.coeffs))
+                if takes_giant_steps(g.coeffs):
+                    assert giant_close(f.compose(g), f, g)
     for _ in range(3):
         a, b = approx_coeffs(rng, n), approx_coeffs(rng, n, lead=rng.choice([0, 1, 2]))
         A, B = TruncatedSeries.approx(a), TruncatedSeries.approx(b)
@@ -588,10 +667,17 @@ def test_approx_kernel_is_the_loops_bit_for_bit(n):
         unit = TruncatedSeries.approx(nonzero_at(rng, a, 0))
         assert bits(unit.reciprocal().coeffs) == bits(loop_reciprocal(unit.coeffs))
         inner = TruncatedSeries.approx(approx_coeffs(rng, n + rng.choice([0, 2]), lead=1))
-        assert bits(A.compose(inner).coeffs) == bits(loop_compose(A.coeffs, inner.coeffs))
+        assert bits(A.compose(inner).coeffs) == bits(approx_compose_reference(A.coeffs, inner.coeffs))
+        if takes_giant_steps(inner.coeffs[: n + 1]):
+            assert giant_close(A.compose(inner), A, inner.truncate(n))
         if n:
             f = TruncatedSeries.approx(nonzero_at(rng, approx_coeffs(rng, n, lead=1), 1))
-            assert bits(f.invert_composition().coeffs) == bits(loop_invert(f.coeffs))
+            assert bits(f.invert_composition().coeffs) == bits(approx_invert_reference(f.coeffs))
+            if takes_giant_steps(loop_reciprocal(f.coeffs[1:])):
+                # Exact reversions of random 53-bit dyadic draws take seconds
+                # beyond order 16; truncation commutes with reversion.
+                top = min(n, 16)
+                assert giant_close(f.invert_composition().truncate(top), f.truncate(top))
 
 
 SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310)
@@ -637,6 +723,7 @@ def test_approx_composition_multiplies_at_shrinking_orders(monkeypatch):
     rng = random.Random(64)
     f = TruncatedSeries.approx(approx_coeffs(rng, n))
     g = TruncatedSeries.approx(approx_coeffs(rng, n, lead=1))
+    assert not takes_giant_steps(g.coeffs)  # Horner's rule: blocks of one coefficient
     orders = []
     product = TruncatedSeries.__mul__
 
@@ -650,6 +737,66 @@ def test_approx_composition_multiplies_at_shrinking_orders(monkeypatch):
     assert orders == list(range(1, n + 1))
     work = sum((k + 1) * (k + 2) // 2 for k in orders)
     assert work <= 0.4 * n * (n + 1) * (n + 2) // 2
+
+
+def test_step_rule_boundary(monkeypatch):
+    # Four coefficients 1/2 make sum |c_k|^2 = 1.  Just below, a composition
+    # at n = 16 takes giant steps of k = 5: g^2..g^5 and 3 Horner steps in
+    # g^5.  Just above, it takes Horner's rule, 16 products, with the loop's
+    # bits.  A reversion over h = z/f takes s = 4: h^2..h^4 and
+    # (h^4)^2..(h^4)^4, or the loop's 15 powers h^2..h^16.
+    n = 16
+    f = TruncatedSeries.approx(approx_coeffs(random.Random(16), n))
+    cases = ((0.5 - 2**-40, 7, 6, giant_compose, giant_invert), (0.5 + 2**-40, 16, 15, loop_compose, loop_invert))
+    for last, composing, reverting, compose_reference, invert_reference in cases:
+        h = TruncatedSeries.approx([0.5, 0.5, 0.5, last], order=n - 1)
+        assert takes_giant_steps(h.coeffs) == (last < 0.5)
+        g = h.shift_up()
+        assert series_products(monkeypatch, lambda: f.compose(g)) == composing
+        assert bits(f.compose(g).coeffs) == bits(compose_reference(f.coeffs, g.coeffs))
+        z_over_h = h.reciprocal().shift_up()
+        assert takes_giant_steps(loop_reciprocal(z_over_h.coeffs[1:])) == (last < 0.5)
+        assert series_products(monkeypatch, z_over_h.invert_composition) == reverting
+        assert bits(z_over_h.invert_composition().coeffs) == bits(invert_reference(z_over_h.coeffs))
+
+
+def test_approx_products_take_giant_steps(monkeypatch):
+    # At N = 64 the Newton steps of subordination compose over omega and eta,
+    # Schur functions: 132 series products for a free product and 164 for a
+    # c-free one whose pairs are not self-paired, where Horner's rule made 357
+    # and 487.
+    a, b = LAWS[0], LAWS[1]
+    free = series_products(monkeypatch, lambda: free_multiplicative_convolve(a, b, 64, "approx"))
+    pair = series_products(monkeypatch, lambda: cfree_multiplicative_convolve(MeasurePair(a, b), MeasurePair(b, a), 64, "approx"))
+    assert free <= 150 and pair <= 180
+
+
+def one_plus(coeffs):
+    return [x + y for x, y in zip([1 + 0j] + [0j] * (len(coeffs) - 1), coeffs)]
+
+
+@pytest.mark.parametrize("n", (16, 32))
+def test_approx_bundles_keep_horner_and_the_loop(n):
+    # z/m and z/eta start at 1/m_1, and m^-1 and eta^-1 grow like |1/m_1|^k,
+    # so no composition or reversion of a bundle takes giant steps: T, cT and
+    # Sigma keep the bits of Horner's rule and the Lagrange loop.  Sigma's
+    # two-route gate then decides on those bits; at 32 it refuses some pairs.
+    moments = [law.moment_series(n, "approx") for law in LAWS]
+    for M in moments:
+        for m in moments:
+            bundle = TransformBundle(M, m)
+            eta_m = loop_mul(m.coeffs, loop_reciprocal(one_plus(m.coeffs)))
+            b_M = loop_mul(M.coeffs, loop_reciprocal(one_plus(M.coeffs)))[1:]
+            m_inverse = loop_invert(m.coeffs)
+            t = loop_compose(eta_m[1:], m_inverse)
+            assert bits(bundle.T.coeffs) == bits(t)
+            assert bits(bundle.cT.coeffs) == bits(t if M == m else loop_compose(b_M, m_inverse))
+            sigma = loop_compose(b_M, loop_invert(eta_m))
+            assert bits(bundle.B.compose(bundle.eta.invert_composition()).coeffs) == bits(sigma)
+            try:
+                assert bits(bundle.Sigma.coeffs) == bits(sigma)
+            except NumericalError:
+                assert n == 32
 
 
 def compositions(monkeypatch, op):

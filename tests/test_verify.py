@@ -10,6 +10,7 @@ import pytest
 from cfreeconv import verify
 from cfreeconv.cli import main
 from cfreeconv.errors import ArgumentError
+from cfreeconv.series import _ApproxSeries
 from cfreeconv.verify import CHECKS, DEFAULT_ORDER, DEFAULT_SEED, check_rng, run
 
 # (suite, name): (order, number of seeds)
@@ -32,6 +33,7 @@ DEEPER = {
     ("measures", "toeplitz positivity gate"): (6, 3),  # 9 cases
     ("measures", "exact products vs T route, partition sums"): (12, 4),  # 32 T-route and 144 partition-sum products
     ("measures", "approx products vs exact T route"): (5, 4),  # 10 pairs of pairs, always at order 24
+    ("series", "approx compose and reversion vs exact kernel"): (32, 1),
 }
 
 
@@ -83,3 +85,15 @@ def test_run_guards():
         run("nonsense")
     with pytest.raises(ArgumentError):
         run("series", order=1)
+
+
+@pytest.mark.parametrize("argv", [[], ["--order", "8", "--seed", "1"]], ids=["defaults", "order 8, seed 1"])
+def test_verify_stdout_does_not_depend_on_the_step_rule(monkeypatch, capsys, argv):
+    # Rows print their bounds, not measured approx gaps, so approx rounding
+    # moves no byte: with blocks of one coefficient everywhere (Horner's rule
+    # and the Lagrange loop) the report is the same.
+    assert main(["verify", *argv]) == 0
+    with_rule = capsys.readouterr().out
+    monkeypatch.setattr(_ApproxSeries, "_step", staticmethod(lambda n, inner: 1))
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == with_rule
